@@ -9,6 +9,7 @@ from formbench.dga import (
     BOTT_CHERN,
     DE_RHAM,
     DOLBEAULT,
+    THEORIES,
     StructureModel,
     apply_d,
     apply_del,
@@ -21,10 +22,10 @@ from formbench.errors import (
     NotClosed,
     UnspecializedParameters,
 )
-from formbench.exterior import Coframe, Generator
+from formbench.exterior import Coframe, Form, Generator
 from formbench.models import kodaira, nakamura, torus
 from formbench.scalars import GaussianRational, VariableTable
-from support import random_form
+from support import gaussian, nonzero_gaussian, random_form
 
 I = GaussianRational(0, 1)
 
@@ -396,6 +397,81 @@ def test_lambda_map_requires_closed_omega():
     model = kodaira()
     with pytest.raises(NotClosed):
         model.lambda_map(model.coframe.generator_form("w2"), DOLBEAULT, (1, 0))
+
+
+# Each theory's cocycle operators and boundary sources, written out here
+# independently of the engine's own table.
+
+
+def _cocycle_operators(model, theory):
+    return {
+        DE_RHAM: [model.d],
+        DOLBEAULT: [model.delbar],
+        BOTT_CHERN: [model.del_, model.delbar],
+        AEPPLI: [model.deldelbar],
+    }[theory]
+
+
+def _boundary_sources(model, theory, slot):
+    if theory == DE_RHAM:
+        return [(model.d, model.monomials_of_degree(slot - 1))]
+    p, q = slot
+    if theory == DOLBEAULT:
+        return [(model.delbar, model.monomials_of_bidegree(p, q - 1))]
+    if theory == BOTT_CHERN:
+        return [(model.deldelbar, model.monomials_of_bidegree(p - 1, q - 1))]
+    return [(model.del_, model.monomials_of_bidegree(p - 1, q)),
+            (model.delbar, model.monomials_of_bidegree(p, q - 1))]
+
+
+def _slots_and_spaces(model, theory):
+    cf = model.coframe
+    if theory == DE_RHAM:
+        return [(k, model.monomials_of_degree(k))
+                for k in range(len(cf.generators) + 1)]
+    return [((p, q), model.monomials_of_bidegree(p, q))
+            for p in range(cf.n_holomorphic + 1)
+            for q in range(cf.n_antiholomorphic + 1)]
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_class_of_and_lambda_map_every_theory(theory):
+    rng = random.Random(59)
+    non_cocycles = 0
+    for model in (kodaira(), nakamura(Fraction(1, 2)).model):
+        cf = model.coframe
+        one = cf.table.one()
+        for slot, space in _slots_and_spaces(model, theory):
+            for mon in space:
+                form = Form(cf, {mon: one})
+                if any(op(form) for op in _cocycle_operators(model, theory)):
+                    with pytest.raises(NotClosed):
+                        model.class_of(form, theory, slot)
+                    non_cocycles += 1
+                    break
+            basis = model.cohomology(theory, slot).basis
+            if not basis:
+                continue
+            coords = tuple(nonzero_gaussian(rng) for _ in basis)
+            form = cf.zero_form()
+            for c, rep in zip(coords, basis):
+                form = form + rep.scaled(c)
+            for op, sources in _boundary_sources(model, theory, slot):
+                for mon in rng.sample(sources, min(3, len(sources))):
+                    form = form + op(Form(cf, {mon: cf.table.constant(gaussian(rng))}))
+            assert model.class_of(form, theory, slot) == coords, (slot, str(form))
+    assert non_cocycles > 0
+
+    model = torus(2)
+    omega = model.coframe.monomial_form(("x1", "x2"))
+    source = 0 if theory == DE_RHAM else (0, 0)
+    lam = model.lambda_map(omega, theory, source)
+    target = (2, 6) if theory == DE_RHAM else ((2, 0), 1)
+    assert (lam.target.slot, lam.target.dimension) == target
+    assert lam.source.dimension == lam.rank() == 1
+    mixed = omega + model.coframe.generator_form("x1")
+    with pytest.raises(ValueError, match="homogeneous"):
+        model.lambda_map(mixed, theory, source)
 
 
 # -- parameter handling --------------------------------------------------------------
