@@ -29,10 +29,6 @@ from .dga import (
     DdbarCheck,
     LambdaMap,
     StructureModel,
-    apply_d,
-    apply_del,
-    apply_delbar,
-    validate_model,
 )
 from .errors import (
     ConjugationMismatch,
@@ -85,7 +81,6 @@ __all__ = [
     "standard_degree_two_basis", "vanishing_identity",
     "AEPPLI", "BOTT_CHERN", "DE_RHAM", "DOLBEAULT", "THEORIES",
     "CohomologyReport", "DdbarCheck", "LambdaMap", "StructureModel",
-    "apply_d", "apply_del", "apply_delbar", "validate_model",
     "ConjugationMismatch", "DegenerateSymplectic", "IntegrabilityError",
     "ModelMismatch", "NotClosed", "OddSize", "ParseError", "UnknownScenario",
     "UnknownVariable", "UnspecializedParameters", "UnsupportedBasis",

@@ -8,11 +8,7 @@ import sys
 
 from . import bbf
 from .dga import THEORIES, DE_RHAM
-from .errors import (
-    IntegrabilityError,
-    ParseError,
-    UnknownScenario,
-)
+from .errors import ParseError, UnknownScenario, UnknownVariable
 from .expressions import parse_form
 from .grass import pluecker_curve
 from .models import load_model
@@ -179,7 +175,7 @@ def main(argv=None):
         if args.command == "grass-degree":
             return _cmd_grass(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ParseError, IntegrabilityError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, UnknownVariable, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -33,6 +33,22 @@ AEPPLI = "aeppli"
 
 THEORIES = (DE_RHAM, DOLBEAULT, BOTT_CHERN, AEPPLI)
 
+# Every theory is "common kernel of the cocycle operators modulo the images of
+# the boundary operators".  An operator is a StructureModel method name with
+# the degree (de Rham) or bidegree it adds; it is looked up on the model at
+# call time.
+_D = ("d", 1)
+_DEL = ("del_", (1, 0))
+_DELBAR = ("delbar", (0, 1))
+_DDBAR = ("deldelbar", (1, 1))
+
+OPERATORS = {  # theory -> (cocycle operators, boundary operators)
+    DE_RHAM: ((_D,), (_D,)),
+    DOLBEAULT: ((_DELBAR,), (_DELBAR,)),
+    BOTT_CHERN: ((_DEL, _DELBAR), (_DDBAR,)),
+    AEPPLI: ((_DDBAR,), (_DEL, _DELBAR)),
+}
+
 
 @dataclass(frozen=True)
 class CohomologyReport:
@@ -143,23 +159,22 @@ class StructureModel:
             out = out + self._d_monomial(mon).scaled(coeff)
         return out
 
-    def del_(self, form):
-        """The (1,0) part of d (raises p by one)."""
+    def _d_part(self, form, dp, dq):
+        """The part of d that raises the bidegree by (dp, dq)."""
         self._check_form(form)
         out = self._zero
         for mon, coeff in form.terms.items():
             p, q = self.coframe.monomial_bidegree(mon)
-            out = out + self._d_monomial(mon).component(p + 1, q).scaled(coeff)
+            out = out + self._d_monomial(mon).component(p + dp, q + dq).scaled(coeff)
         return out
+
+    def del_(self, form):
+        """The (1,0) part of d (raises p by one)."""
+        return self._d_part(form, 1, 0)
 
     def delbar(self, form):
         """The (0,1) part of d (raises q by one)."""
-        self._check_form(form)
-        out = self._zero
-        for mon, coeff in form.terms.items():
-            p, q = self.coframe.monomial_bidegree(mon)
-            out = out + self._d_monomial(mon).component(p, q + 1).scaled(coeff)
-        return out
+        return self._d_part(form, 0, 1)
 
     def deldelbar(self, form):
         return self.del_(self.delbar(form))
@@ -167,7 +182,8 @@ class StructureModel:
     # -- validation -----------------------------------------------------------
 
     def validate(self):
-        """Check d*d = 0 and the bidegree splitting on every generator.
+        """Check d*d = 0 and the bidegree splitting on every generator, and
+        d(conj g) = conj(d g) on every declared conjugate pair.
 
         Returns a diagnostics list on success and raises IntegrabilityError
         (carrying the offending generators with their residual forms)
@@ -199,6 +215,13 @@ class StructureModel:
                 violations.append((gen.name, dd))
                 continue
             diagnostics.append(f"d({gen.name}) = {dg}")
+        for pos, mate in enumerate(cf.conjugate_position):
+            if mate is None or not cf.generators[pos].holomorphic:
+                continue
+            residual = (self._differentials.get(mate, self._zero)
+                        - self._differentials.get(pos, self._zero).conjugate())
+            if residual:
+                violations.append((cf.generators[pos].name, residual))
         if violations:
             names = ", ".join(name for name, _ in violations)
             raise IntegrabilityError(
@@ -223,6 +246,12 @@ class StructureModel:
             combinations(range(cf.n_holomorphic, len(cf.generators)), q)
         )
         return [h + a for h in holo for a in anti]
+
+    def _space(self, slot):
+        """The monomial basis of a degree k or a bidegree (p, q)."""
+        if isinstance(slot, int):
+            return self.monomials_of_degree(slot)
+        return self.monomials_of_bidegree(*slot)
 
     def _vector(self, form, monomials):
         index = {m: i for i, m in enumerate(monomials)}
@@ -277,54 +306,14 @@ class StructureModel:
         cached = self._reports.get(key)
         if cached is not None:
             return cached
-        if theory == DE_RHAM:
-            k = slot
-            space = self.monomials_of_degree(k)
-            cocycles = linalg.nullspace(
-                self._operator_matrix(self.d, space, self.monomials_of_degree(k + 1)),
-                len(space),
+        space = self._space(slot)
+        stacked = []
+        for name, step in OPERATORS[theory][0]:
+            stacked += self._operator_matrix(
+                getattr(self, name), space, self._space(_shift(slot, step))
             )
-            boundaries = self._image_vectors(
-                self.d, self.monomials_of_degree(k - 1), space
-            )
-        else:
-            p, q = slot
-            space = self.monomials_of_bidegree(p, q)
-            if theory == DOLBEAULT:
-                cocycles = linalg.nullspace(
-                    self._operator_matrix(
-                        self.delbar, space, self.monomials_of_bidegree(p, q + 1)
-                    ),
-                    len(space),
-                )
-                boundaries = self._image_vectors(
-                    self.delbar, self.monomials_of_bidegree(p, q - 1), space
-                )
-            elif theory == BOTT_CHERN:
-                stacked = self._operator_matrix(
-                    self.del_, space, self.monomials_of_bidegree(p + 1, q)
-                ) + self._operator_matrix(
-                    self.delbar, space, self.monomials_of_bidegree(p, q + 1)
-                )
-                cocycles = linalg.nullspace(stacked, len(space))
-                boundaries = self._image_vectors(
-                    self.deldelbar, self.monomials_of_bidegree(p - 1, q - 1), space
-                )
-            elif theory == AEPPLI:
-                cocycles = linalg.nullspace(
-                    self._operator_matrix(
-                        self.deldelbar, space,
-                        self.monomials_of_bidegree(p + 1, q + 1),
-                    ),
-                    len(space),
-                )
-                boundaries = self._image_vectors(
-                    self.del_, self.monomials_of_bidegree(p - 1, q), space
-                ) + self._image_vectors(
-                    self.delbar, self.monomials_of_bidegree(p, q - 1), space
-                )
-            else:
-                raise ValueError(f"unknown theory {theory!r}")
+        cocycles = linalg.nullspace(stacked, len(space))
+        boundaries = self._boundary_vectors(theory, slot, space)
         reps = linalg.quotient_representatives(cocycles, boundaries)
         report = CohomologyReport(
             theory=theory,
@@ -353,30 +342,16 @@ class StructureModel:
             degree=k, betti_doubled=2 * self.betti(k), bott_chern_aeppli=total
         )
 
-    def _cocycle_residual(self, theory, form):
-        if theory == DE_RHAM:
-            return self.d(form)
-        if theory == DOLBEAULT:
-            return self.delbar(form)
-        if theory == BOTT_CHERN:
-            return self.del_(form) + self.delbar(form)
-        return self.deldelbar(form)
-
     def class_of(self, form, theory, slot):
         """Coordinates of a cocycle in the computed basis of its cohomology
         slot; raises NotClosed when the cocycle condition fails."""
         self._check_form(form)
         theory, slot = _normalize_slot(theory, slot)
-        if theory == DE_RHAM:
-            space = self.monomials_of_degree(slot)
-        else:
-            space = self.monomials_of_bidegree(*slot)
+        space = self._space(slot)
         vec = self._vector(form, space)
-        if theory == BOTT_CHERN:
-            if self.del_(form) or self.delbar(form):
-                raise NotClosed(f"{form} is not a Bott-Chern cocycle")
-        elif self._cocycle_residual(theory, form):
-            raise NotClosed(f"{form} fails the {theory} cocycle condition")
+        for name, _ in OPERATORS[theory][0]:
+            if getattr(self, name)(form):
+                raise NotClosed(f"{form} fails the {theory} cocycle condition")
         report = self.cohomology(theory, slot)
         reps = [self._vector(b, space) for b in report.basis]
         boundaries = self._boundary_vectors(theory, slot, space)
@@ -389,24 +364,12 @@ class StructureModel:
         return tuple(solution[: report.dimension])
 
     def _boundary_vectors(self, theory, slot, space):
-        if theory == DE_RHAM:
-            return self._image_vectors(
-                self.d, self.monomials_of_degree(slot - 1), space
+        vectors = []
+        for name, step in OPERATORS[theory][1]:
+            vectors += self._image_vectors(
+                getattr(self, name), self._space(_shift(slot, step, -1)), space
             )
-        p, q = slot
-        if theory == DOLBEAULT:
-            return self._image_vectors(
-                self.delbar, self.monomials_of_bidegree(p, q - 1), space
-            )
-        if theory == BOTT_CHERN:
-            return self._image_vectors(
-                self.deldelbar, self.monomials_of_bidegree(p - 1, q - 1), space
-            )
-        return self._image_vectors(
-            self.del_, self.monomials_of_bidegree(p - 1, q), space
-        ) + self._image_vectors(
-            self.delbar, self.monomials_of_bidegree(p, q - 1), space
-        )
+        return vectors
 
     def lambda_map(self, omega, theory, source_slot):
         """The wedge-with-omega map between cohomology slots.
@@ -416,23 +379,16 @@ class StructureModel:
         """
         self._check_form(omega)
         theory, source_slot = _normalize_slot(theory, source_slot)
-        if theory == DE_RHAM:
-            deg = omega.total_degree()
-            if deg is None:
-                raise ValueError("omega must be homogeneous")
-            if self.d(omega):
-                raise NotClosed("omega is not d-closed")
-            target_slot = source_slot + deg
+        if isinstance(source_slot, int):
+            step = omega.total_degree()
         else:
-            bideg = omega.bidegree()
-            if bideg is None:
-                raise ValueError("omega must be homogeneous")
-            if theory == DOLBEAULT:
-                if self.delbar(omega):
-                    raise NotClosed("omega is not delbar-closed")
-            elif self.d(omega):
-                raise NotClosed("omega is not d-closed")
-            target_slot = (source_slot[0] + bideg[0], source_slot[1] + bideg[1])
+            step = omega.bidegree()
+        if step is None:
+            raise ValueError("omega must be homogeneous")
+        closed = "delbar" if theory == DOLBEAULT else "d"
+        if getattr(self, closed)(omega):
+            raise NotClosed(f"omega is not {closed}-closed")
+        target_slot = _shift(source_slot, step)
         source = self.cohomology(theory, source_slot)
         target = self.cohomology(theory, target_slot)
         columns = [
@@ -446,6 +402,13 @@ class StructureModel:
         return LambdaMap(source=source, target=target, matrix=matrix)
 
 
+def _shift(slot, step, sign=1):
+    """A degree or bidegree moved by sign * step."""
+    if isinstance(slot, int):
+        return slot + sign * step
+    return (slot[0] + sign * step[0], slot[1] + sign * step[1])
+
+
 def _normalize_slot(theory, slot):
     if theory not in THEORIES:
         raise ValueError(f"unknown theory {theory!r}; expected one of {THEORIES}")
@@ -455,20 +418,3 @@ def _normalize_slot(theory, slot):
         return theory, slot
     p, q = slot
     return theory, (int(p), int(q))
-
-
-def validate_model(model):
-    """Re-run the structure-equation diagnostics of a model."""
-    return model.validate()
-
-
-def apply_d(model, form):
-    return model.d(form)
-
-
-def apply_del(model, form):
-    return model.del_(form)
-
-
-def apply_delbar(model, form):
-    return model.delbar(form)

@@ -381,22 +381,3 @@ class Form:
     def __repr__(self):
         return f"<Form {self}>"
 
-
-def wedge(a, b):
-    return a.wedge(b)
-
-
-def power(form, k):
-    return form.power(k)
-
-
-def conjugate_form(form):
-    return form.conjugate()
-
-
-def integrate(form):
-    return form.integrate()
-
-
-def bidegree_component(form, p, q):
-    return form.component(p, q)

@@ -13,11 +13,16 @@ module instead of a bespoke minor expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .exterior import Coframe, Generator
-from .scalars import GaussianRational, PolyScalar, VariableTable, rational_content
+from .scalars import (
+    GaussianRational,
+    PolyScalar,
+    VariableTable,
+    _fraction_gcd,
+    rational_content,
+)
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ def _remove_content(coordinates, table):
     content = None
     for poly in polys:
         c = rational_content(poly)
-        content = c if content is None else _gcd_fraction(content, c)
+        content = c if content is None else _fraction_gcd(content, c)
     n_vars = len(table.names)
     common = [None] * n_vars
     for poly in polys:
@@ -118,16 +123,6 @@ def _remove_content(coordinates, table):
         }
         reduced[key] = PolyScalar(table, terms)
     return reduced
-
-
-def _gcd_fraction(x, y):
-    from math import gcd
-
-    return Fraction(
-        gcd(x.numerator, y.numerator),
-        x.denominator * y.denominator
-        // gcd(x.denominator, y.denominator),
-    )
 
 
 def embedding_degree(n):

@@ -136,13 +136,6 @@ def torus4_deformed():
     return TorusDeformation(model, sigma, sigma_t)
 
 
-BUILTIN_MODELS = {
-    "torus2": lambda: torus(2),
-    "torus4": lambda: torus(4),
-    "kodaira": kodaira,
-}
-
-
 # -- model files ---------------------------------------------------------------
 
 

@@ -11,10 +11,6 @@ from formbench.dga import (
     DOLBEAULT,
     THEORIES,
     StructureModel,
-    apply_d,
-    apply_del,
-    apply_delbar,
-    validate_model,
 )
 from formbench.errors import (
     IntegrabilityError,
@@ -49,9 +45,9 @@ def all_models():
 
 
 def test_validate_torus_and_kodaira():
-    assert validate_model(torus(2)) == ["d(x1) = 0", "d(x2) = 0",
-                                        "d(xb1) = 0", "d(xb2) = 0"]
-    diagnostics = validate_model(kodaira())
+    assert torus(2).validate() == ["d(x1) = 0", "d(x2) = 0",
+                                   "d(xb1) = 0", "d(xb2) = 0"]
+    diagnostics = kodaira().validate()
     assert "d(w2) = w1^wb1" in diagnostics
 
 
@@ -79,19 +75,29 @@ def test_validate_rejects_wrong_degree():
         StructureModel(cf, {"g1": cf.form({("g2",): 1})})
 
 
+def test_validate_rejects_differential_not_commuting_with_conjugation():
+    cf = kodaira().coframe
+    w1_wb1 = cf.monomial_form(("w1", "wb1"))
+    # d(wb2) must be conj(d w2) = -w1^wb1; the sign flip breaks the pairing
+    with pytest.raises(IntegrabilityError) as err:
+        StructureModel(cf, {"w2": w1_wb1, "wb2": w1_wb1})
+    assert err.value.violations == [("w2", w1_wb1.scaled(2))]
+    assert "w2" in str(err.value)
+
+
 # -- the operators ----------------------------------------------------------------
 
 
 def test_operator_examples():
     model = kodaira()
     cf = model.coframe
-    assert apply_delbar(model, cf.generator_form("w2")) == cf.monomial_form(
+    assert model.delbar(cf.generator_form("w2")) == cf.monomial_form(
         ("w1", "wb1")
     )
-    assert apply_del(model, cf.generator_form("w2")).is_zero
-    assert apply_d(model, cf.unit(7)).is_zero
+    assert model.del_(cf.generator_form("w2")).is_zero
+    assert model.d(cf.unit(7)).is_zero
     family = nakamura(Fraction(1, 2))
-    assert apply_d(family.model, family.sigma).is_zero
+    assert family.model.d(family.sigma).is_zero
 
 
 def test_operator_model_mismatch():

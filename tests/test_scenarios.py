@@ -5,7 +5,7 @@ import pytest
 import formbench.scenarios as scenarios
 from formbench.cli import main
 from formbench.errors import UnknownScenario
-from formbench.models import kodaira, save_model
+from formbench.models import kodaira, model_to_dict, save_model
 from formbench.scalars import GaussianRational
 from formbench.scenarios import Step, list_scenarios, run_scenario
 
@@ -154,6 +154,15 @@ def test_cli_bbf_gram(tmp_path, capsys):
     assert "w1^w2" in out
     rows = [line for line in out.splitlines() if line.strip().startswith("[")]
     assert len(rows) == 4
+
+
+def test_cli_unconjugated_parameter_is_an_error(tmp_path, capsys):
+    document = model_to_dict(kodaira())
+    document["variables"].append({"name": "t"})
+    path = tmp_path / "kodaira_t.json"
+    path.write_text(json.dumps(document))
+    assert main(["bbf", "gram", str(path), "--sigma", "t*w1^w2"]) == 1
+    assert "error: 't has no conjugation declaration'" in capsys.readouterr().err
 
 
 def test_cli_grass_degree(capsys):
