@@ -26,7 +26,14 @@ from formbench.errors import (
     UnsupportedBasis,
 )
 from formbench.exterior import Coframe, Generator
-from formbench.models import kodaira, kodaira_sigma, torus, torus4_deformed
+from formbench.expressions import parse_form
+from formbench.models import (
+    kodaira,
+    kodaira_sigma,
+    model_from_dict,
+    torus,
+    torus4_deformed,
+)
 from formbench.scalars import (
     GaussianRational,
     ScalarFraction,
@@ -596,3 +603,51 @@ def test_nu_reconstructs_sigma_power():
                 )
                 rebuilt = rebuilt + cf.monomial_form(monomial, coeff)
             assert rebuilt == space.sigma.power(n - 1)
+
+
+NILPOTENT_DIM4 = {
+    "variables": [
+        {"name": "V", "conjugate": "V"},
+        {"name": "l", "conjugate": "lb"},
+    ],
+    "generators": [
+        {"name": f"z{k}", "bidegree": [1, 0], "conjugate": f"zb{k}"}
+        for k in range(1, 5)
+    ] + [
+        {"name": f"zb{k}", "bidegree": [0, 1], "conjugate": f"z{k}"}
+        for k in range(1, 5)
+    ],
+    "differentials": [
+        {"generator": "z4",
+         "terms": [{"coefficient": "1", "monomial": ["z1", "z2"]}]},
+        {"generator": "zb4",
+         "terms": [{"coefficient": "1", "monomial": ["zb1", "zb2"]}]},
+    ],
+    "volume": [f"z{k}" for k in range(1, 5)] + [f"zb{k}" for k in range(1, 5)],
+}
+
+
+def _nilpotent_dim4_space():
+    model = model_from_dict(NILPOTENT_DIM4)
+    sigma = parse_form("z1^z4 + l*z2^z3 + (1+2i)*z1^z3", model.coframe)
+    return model, make_symplectic(model, sigma)
+
+
+@pytest.mark.parametrize("case", ["kodaira", "nilpotent_dim4"])
+def test_gram_oracle_is_polarization_of_q(case):
+    # n = 2 in the second case, so the (1-n) cross term is live
+    if case == "kodaira":
+        model = kodaira()
+        space = make_symplectic(model, kodaira_sigma(model))
+    else:
+        model, space = _nilpotent_dim4_space()
+        assert space.n == 2
+    basis = list(model.cohomology("de_rham", 2).basis)
+    gram = gram_matrix(space, basis, mode="oracle")
+    q = [q_sigma(space, form) for form in basis]
+    for i, first in enumerate(basis):
+        assert gram.entry(i, i) == q[i]
+        for j in range(i + 1, len(basis)):
+            polar = q_sigma(space, first + basis[j]) - q[i] - q[j]
+            assert gram.entry(i, j) * 2 == polar, (i, j)
+            assert gram.entry(j, i) * 2 == polar, (j, i)
