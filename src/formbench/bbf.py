@@ -95,55 +95,31 @@ def pfaffian(matrix):
     return expand(tuple(range(1, matrix.size + 1)))
 
 
+@dataclass(frozen=True, eq=False)
 class SymplecticSpace:
     """A structure model with a distinguished closed symplectic (2,0)-form
-    and the derived coefficient data mu and nu.
+    and the derived coefficient data.
 
     mu is the coefficient of sigma^n against the holomorphic top monomial;
     nu[(i, j)] is the coefficient of sigma^(n-1) against the monomial with
-    x_i and x_j removed.  Instances are immutable and thread-safe.
+    x_i and x_j removed.  sigma_pow[k] and sigma_bar_pow[k] are the k-th
+    wedge powers for k = 0..n, and volume is I[(sigma sigma_bar)^n] with the
+    total volume V kept formal.  Instances are immutable and thread-safe.
     """
 
-    __slots__ = (
-        "model", "sigma", "n", "mu", "nu",
-        "_sigma_bar", "_sigma_pow", "_sigma_bar_pow", "_volume_pairing",
-    )
-
-    def __init__(self, model, sigma, n, mu, nu, sigma_bar, sigma_pow,
-                 sigma_bar_pow):
-        self.model = model
-        self.sigma = sigma
-        self.n = n
-        self.mu = mu
-        self.nu = nu
-        self._sigma_bar = sigma_bar
-        self._sigma_pow = sigma_pow
-        self._sigma_bar_pow = sigma_bar_pow
-        self._volume_pairing = (
-            sigma_pow[n].wedge(sigma_bar_pow[n]).integrate()
-        )
-
-    @property
-    def table(self):
-        return self.model.table
-
-    @property
-    def sigma_bar(self):
-        return self._sigma_bar
-
-    def volume_pairing(self):
-        """I[(sigma sigma_bar)^n] with the total volume V kept formal."""
-        return self._volume_pairing
-
-    def sigma_power(self, k):
-        return self._sigma_pow[k]
-
-    def sigma_bar_power(self, k):
-        return self._sigma_bar_pow[k]
+    model: object
+    sigma: object
+    n: int
+    mu: object
+    nu: dict
+    sigma_bar: object
+    sigma_pow: tuple
+    sigma_bar_pow: tuple
+    volume: object
 
     def normalization(self):
         """The fraction 1/(mu*mub) substituted for V in normalized output."""
-        return ScalarFraction(self.table.one(), self.mu * self.mu.conjugate())
+        return ScalarFraction(self.model.table.one(), self.mu * self.mu.conjugate())
 
 
 def make_symplectic(model, sigma):
@@ -160,9 +136,11 @@ def make_symplectic(model, sigma):
             f"{h} holomorphic generators cannot carry a symplectic form"
         )
     n = h // 2
-    powers = [model.coframe.unit()]
+    sigma_bar = sigma.conjugate()
+    powers, bar_powers = [model.coframe.unit()], [model.coframe.unit()]
     for _ in range(n):
         powers.append(powers[-1].wedge(sigma))
+        bar_powers.append(bar_powers[-1].wedge(sigma_bar))
     top = tuple(range(h))
     mu = powers[n].terms.get(top, model.table.zero())
     if not mu:
@@ -171,11 +149,10 @@ def make_symplectic(model, sigma):
     for i, j in combinations(range(1, h + 1), 2):
         mon = tuple(p for p in range(h) if p not in (i - 1, j - 1))
         nu[(i, j)] = powers[n - 1].terms.get(mon, model.table.zero())
-    sigma_bar = sigma.conjugate()
-    bar_powers = [model.coframe.unit()]
-    for _ in range(n):
-        bar_powers.append(bar_powers[-1].wedge(sigma_bar))
-    return SymplecticSpace(model, sigma, n, mu, nu, sigma_bar, powers, bar_powers)
+    return SymplecticSpace(
+        model, sigma, n, mu, nu, sigma_bar, tuple(powers), tuple(bar_powers),
+        powers[n].wedge(bar_powers[n]).integrate(),
+    )
 
 
 def _check_degree_two(space, form, what):
@@ -191,38 +168,46 @@ def q_sigma(space, alpha):
     """Exact evaluation of the quadratic form on a closed degree-2 form."""
     _check_degree_two(space, alpha, "alpha")
     n = space.n
-    s_n = space.sigma_power(n)
-    s_n1 = space.sigma_power(n - 1)
-    sb_n = space.sigma_bar_power(n)
-    sb_n1 = space.sigma_bar_power(n - 1)
-    square_pairing = alpha.wedge(alpha).wedge(s_n1).wedge(sb_n1).integrate()
-    holo_pairing = alpha.wedge(s_n1).wedge(sb_n).integrate()
-    anti_pairing = alpha.wedge(s_n).wedge(sb_n1).integrate()
+    s, sb = space.sigma_pow, space.sigma_bar_pow
+    square_pairing = alpha.wedge(alpha).wedge(s[n - 1]).wedge(sb[n - 1]).integrate()
+    holo_pairing = alpha.wedge(s[n - 1]).wedge(sb[n]).integrate()
+    anti_pairing = alpha.wedge(s[n]).wedge(sb[n - 1]).integrate()
     return (
-        space.volume_pairing() * square_pairing * Fraction(n, 2)
+        space.volume * square_pairing * Fraction(n, 2)
         + holo_pairing * anti_pairing * Fraction(1 - n)
     )
+
+
+def _pairings(space, form, what):
+    """The part of the bilinear form that depends on one argument only:
+    (form s^(n-1) sb^(n-1), I[form s^(n-1) sb^n], I[form s^n sb^(n-1)])."""
+    _check_degree_two(space, form, what)
+    n = space.n
+    s, sb = space.sigma_pow, space.sigma_bar_pow
+    lower = form.wedge(s[n - 1])
+    return (
+        lower.wedge(sb[n - 1]),
+        lower.wedge(sb[n]).integrate(),
+        form.wedge(s[n]).wedge(sb[n - 1]).integrate(),
+    )
+
+
+def _combine(space, psi_record, eta, eta_record):
+    """The bilinear form on psi and eta from their pairing records."""
+    psi_wedge, psi_holo, psi_anti = psi_record
+    _, eta_holo, eta_anti = eta_record
+    n = space.n
+    mixed = eta.wedge(psi_wedge).integrate()
+    cross = psi_holo * eta_anti + eta_holo * psi_anti
+    total = space.volume * mixed * n + cross * Fraction(1 - n)
+    return total * Fraction(1, 2)
 
 
 def bilinear(space, psi, eta):
     """The symmetric bilinear form polarizing q_sigma; bilinear(a, a) equals
     q_sigma(a) exactly."""
-    _check_degree_two(space, psi, "psi")
-    _check_degree_two(space, eta, "eta")
-    n = space.n
-    s_n = space.sigma_power(n)
-    s_n1 = space.sigma_power(n - 1)
-    sb_n = space.sigma_bar_power(n)
-    sb_n1 = space.sigma_bar_power(n - 1)
-    mixed = psi.wedge(eta).wedge(s_n1).wedge(sb_n1).integrate()
-    cross = (
-        psi.wedge(s_n1).wedge(sb_n).integrate()
-        * eta.wedge(s_n).wedge(sb_n1).integrate()
-        + eta.wedge(s_n1).wedge(sb_n).integrate()
-        * psi.wedge(s_n).wedge(sb_n1).integrate()
-    )
-    total = space.volume_pairing() * mixed * n + cross * Fraction(1 - n)
-    return total * Fraction(1, 2)
+    psi_record = _pairings(space, psi, "psi")
+    return _combine(space, psi_record, eta, _pairings(space, eta, "eta"))
 
 
 # -- Gram matrices ---------------------------------------------------------------
@@ -257,8 +242,7 @@ class GramMatrix:
     def is_symmetric(self):
         return all(
             self.entries[i][j] == self.entries[j][i]
-            for i in range(self.size)
-            for j in range(self.size)
+            for i, j in combinations(range(self.size), 2)
         )
 
     def render(self):
@@ -275,9 +259,13 @@ def gram_matrix(space, basis, mode="oracle"):
     """
     basis = tuple(basis)
     if mode == "oracle":
+        records = [_pairings(space, form, "basis form") for form in basis]
         entries = tuple(
-            tuple(ScalarFraction(bilinear(space, a, b)) for b in basis)
-            for a in basis
+            tuple(
+                ScalarFraction(_combine(space, first, form, second))
+                for form, second in zip(basis, records)
+            )
+            for first in records
         )
         return GramMatrix(basis=basis, entries=entries, mode=mode)
     if mode != "closed_form":
@@ -301,7 +289,7 @@ def _classify_standard(space, form):
     if len(form.terms) != 1:
         raise UnsupportedBasis(f"{form} is not a standard basis monomial")
     (mon, coeff), = form.terms.items()
-    if coeff != space.table.one() or len(mon) != 2:
+    if coeff != space.model.table.one() or len(mon) != 2:
         raise UnsupportedBasis(f"{form} is not a standard basis monomial")
     h = cf.n_holomorphic
     p, q = cf.monomial_bidegree(mon)
@@ -314,7 +302,7 @@ def _classify_standard(space, form):
 
 def _closed_form_numerator(space, a, b):
     """The numerator over 2*mu*mub of one closed-form Gram entry."""
-    table = space.table
+    table = space.model.table
     kind_a, idx_a = a
     kind_b, idx_b = b
     if {kind_a, kind_b} == {"20", "02"}:
@@ -407,24 +395,19 @@ def check_block_orthogonality(space):
     """Verify the stated zero blocks of the torus Gram matrix on the full
     monomial basis: (2,0) against (2,0), (0,2) against (0,2), and each of
     those against the (1,1) block."""
-    model = space.model
-    cf = model.coframe
-    h = cf.n_holomorphic
-    names = [g.name for g in cf.generators]
     blocks = {"20": [], "11": [], "02": []}
-    for i, j in combinations(range(len(names)), 2):
-        form = cf.monomial_form((names[i], names[j]))
+    for form in standard_degree_two_basis(space.model):
         p, q = form.bidegree()
-        blocks[f"{p}{q}"].append(form)
+        blocks[f"{p}{q}"].append((form, _pairings(space, form, "basis form")))
     checked = 0
     violations = []
 
     def expect_zero(first, second):
         nonlocal checked
-        for a in first:
-            for b in second:
+        for a, a_record in first:
+            for b, b_record in second:
                 checked += 1
-                value = bilinear(space, a, b)
+                value = _combine(space, a_record, b, b_record)
                 if value:
                     violations.append((str(a), str(b), str(value)))
 
@@ -456,7 +439,7 @@ def vanishing_identity(space, lam, alpha11, mubar):
     for alpha = lam*sigma + alpha11 + mubar*sigma_bar.  The sigma_bar
     coefficient is named mubar throughout to keep it apart from the top
     coefficient mu of sigma^n."""
-    table = space.table
+    table = space.model.table
     lam = table.coerce(lam)
     mubar = table.coerce(mubar)
     if alpha11 and alpha11.bidegree() != (1, 1):
@@ -470,9 +453,7 @@ def vanishing_identity(space, lam, alpha11, mubar):
         raise NotClosed("alpha is not d-closed")
     n = space.n
     power = alpha.power(n + 1)
-    lhs = space.volume_pairing() * (
-        power.wedge(space.sigma_bar_power(n - 1)).integrate()
-    )
+    lhs = space.volume * power.wedge(space.sigma_bar_pow[n - 1]).integrate()
     rhs = q_sigma(space, alpha) * lam ** (n - 1) * (n + 1)
     return VanishingIdentity(lhs=lhs, rhs=rhs)
 

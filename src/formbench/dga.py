@@ -99,7 +99,7 @@ class LambdaMap:
 class StructureModel:
     """A coframe together with the differential of each generator."""
 
-    def __init__(self, coframe, differentials=None, check=True):
+    def __init__(self, coframe, differentials=None):
         self.coframe = coframe
         diff = {}
         for name, form in (differentials or {}).items():
@@ -113,8 +113,7 @@ class StructureModel:
         self._d_cache = {}
         self._reports = {}
         self._zero = coframe.zero_form()
-        if check:
-            self.validate()
+        self.validate()
 
     def __repr__(self):
         return f"<StructureModel {self.coframe!r}>"

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelMismatch, UnknownVariable
+from .scalars import binary_power
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,7 @@ class Coframe:
     monomial (spanning the top exterior power).
     """
 
-    def __init__(self, generators, table, conjugates=None, volume=None,
-                 volume_variable="V"):
+    def __init__(self, generators, table, conjugates=None, volume=None):
         generators = tuple(generators)
         n_holo = sum(1 for g in generators if g.holomorphic)
         for pos, gen in enumerate(generators):
@@ -129,9 +129,9 @@ class Coframe:
             sign, mon = sort_with_sign(listed)
             self.volume_monomial = mon
             self.volume_sign = sign
-        self.volume_variable = volume_variable
-        if volume is not None and volume_variable not in table.names:
-            raise ValueError(f"scalar table must declare {volume_variable}")
+        self.volume_variable = "V"
+        if volume is not None and "V" not in table.names:
+            raise ValueError("scalar table must declare V")
 
     def __repr__(self):
         names = ",".join(g.name for g in self.generators)
@@ -261,16 +261,7 @@ class Form:
 
     def power(self, k):
         """k-th wedge power by binary exponentiation; power 0 is the unit."""
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.coframe.unit()
-        base = self
-        while k:
-            if k & 1:
-                result = result.wedge(base)
-            base = base.wedge(base)
-            k >>= 1
-        return result
+        return binary_power(self, k, self.coframe.unit(), Form.wedge)
 
     __pow__ = power
 
@@ -299,11 +290,6 @@ class Form:
             self.coframe,
             {m: c for m, c in self.terms.items()
              if self.coframe.monomial_bidegree(m) == wanted},
-        )
-
-    def degree_component(self, k):
-        return Form(
-            self.coframe, {m: c for m, c in self.terms.items() if len(m) == k}
         )
 
     # -- involution, evaluation, integration -----------------------------------

@@ -189,17 +189,9 @@ def model_from_dict(document):
     for name, mate in pairing.items():
         if mate not in names:
             raise ParseError(f"unknown conjugate {mate!r}", field="generators")
-    # keep only one direction; Coframe symmetrizes
-    one_way = {}
-    seen = set()
-    for name, mate in pairing.items():
-        if name not in seen and mate not in seen:
-            one_way[name] = mate
-            seen.update((name, mate))
-
     volume = document.get("volume")
     try:
-        coframe = Coframe(generators, table, conjugates=one_way, volume=volume)
+        coframe = Coframe(generators, table, conjugates=pairing, volume=volume)
     except (ValueError, KeyError) as exc:
         raise ParseError(str(exc)) from exc
 

@@ -9,8 +9,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import ConjugationMismatch, UnknownVariable
+
+
+def binary_power(base, k, one, times=mul):
+    """base**k by square-and-multiply from the unit ``one``; ``times`` is
+    the product (ordinary multiplication unless given)."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while k:
+        if k & 1:
+            result = times(result, base)
+        base = times(base, base)
+        k >>= 1
+    return result
 
 
 def _as_fraction(value):
@@ -113,16 +128,7 @@ class GaussianRational:
         return GaussianRational.of(other) / self
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return binary_power(self, k, GaussianRational(1))
 
     def __str__(self):
         if self.im == 0:
@@ -318,16 +324,7 @@ class PolyScalar:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.table.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return binary_power(self, k, self.table.one())
 
     def __bool__(self):
         return bool(self.terms)

@@ -9,7 +9,9 @@ scenarios use fixed inputs only, so reports are deterministic end to end
 from __future__ import annotations
 
 import json
+import os
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,10 +35,7 @@ class Step:
 
     @property
     def match(self):
-        try:
-            return bool(self.computed == self.expected)
-        except Exception:
-            return False
+        return bool(self.computed == self.expected)
 
 
 @dataclass(frozen=True)
@@ -173,10 +172,10 @@ def _scenario_torus4_deformed():
     space = bbf.make_symplectic(model, sigma)
     table = model.table
     integrals = [
-        space.volume_pairing(),
+        space.volume,
         sigma_t.wedge(sigma_t).wedge(space.sigma).wedge(space.sigma_bar).integrate(),
-        sigma_t.wedge(space.sigma).wedge(space.sigma_bar_power(2)).integrate(),
-        sigma_t.wedge(space.sigma_power(2)).wedge(space.sigma_bar).integrate(),
+        sigma_t.wedge(space.sigma).wedge(space.sigma_bar_pow[2]).integrate(),
+        sigma_t.wedge(space.sigma_pow[2]).wedge(space.sigma_bar).integrate(),
     ]
     v = table.variable("V")
     t = {k: table.variable(f"t{k}") for k in range(1, 5)}
@@ -444,8 +443,9 @@ def list_scenarios():
 
 
 def run_scenario(scenario_id):
-    """Execute one scenario; module errors become a structured failure
-    report rather than an exception."""
+    """Execute one scenario; an exception raised by its body or by comparing
+    a step becomes a failure report naming the type, the message and the
+    innermost source line, rather than propagating."""
     try:
         description, body = _SCENARIOS[scenario_id]
     except KeyError:
@@ -453,10 +453,14 @@ def run_scenario(scenario_id):
     start = time.perf_counter()
     try:
         steps = tuple(body())
+        for step in steps:
+            step.match  # comparing two values may raise, too
         error = ""
-    except Exception as exc:  # pragma: no cover - defensive surface
+    except Exception as exc:
         steps = ()
-        error = f"{type(exc).__name__}: {exc}"
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        error = f"{type(exc).__name__}: {exc} (at {where})"
     wall = time.perf_counter() - start
     return ScenarioReport(
         scenario=scenario_id,

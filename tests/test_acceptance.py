@@ -70,17 +70,17 @@ def test_criterion_01_four_torus_deformation():
     t = {k: table.variable(f"t{k}") for k in range(1, 5)}
     st = family.sigma_t
     integrals = {
-        "I[(s sb)^2] = 4V": (space.volume_pairing(), 4 * v),
+        "I[(s sb)^2] = 4V": (space.volume, 4 * v),
         "I[st^2 s sb] = 4 t1 t2 (1 - t3 t4) V": (
             st.wedge(st).wedge(space.sigma).wedge(space.sigma_bar).integrate(),
             4 * t[1] * t[2] * (1 - t[3] * t[4]) * v,
         ),
         "I[st s sb^2] = 4V": (
-            st.wedge(space.sigma).wedge(space.sigma_bar_power(2)).integrate(),
+            st.wedge(space.sigma).wedge(space.sigma_bar_pow[2]).integrate(),
             4 * v,
         ),
         "I[st s^2 sb] = 4 t1 t2 V": (
-            st.wedge(space.sigma_power(2)).wedge(space.sigma_bar).integrate(),
+            st.wedge(space.sigma_pow[2]).wedge(space.sigma_bar).integrate(),
             4 * t[1] * t[2] * v,
         ),
     }

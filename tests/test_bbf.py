@@ -283,12 +283,12 @@ def test_two_torus_bilinear_is_half_integral():
 
 
 def expected_two_torus_gram(space):
-    one = space.table.one()
+    one = space.model.table.one()
     half = ScalarFraction(one, space.mu * space.mu.conjugate() * 2)
     signs = {(0, 5): 1, (1, 4): -1, (2, 3): 1, (3, 2): 1, (4, 1): -1, (5, 0): 1}
     return {
         (i, j): half * signs[(i, j)] if (i, j) in signs else ScalarFraction(
-            space.table.zero()
+            space.model.table.zero()
         )
         for i in range(6)
         for j in range(6)
@@ -468,11 +468,11 @@ def test_vanishing_identity_intermediate():
         alpha = (
             space.sigma.scaled(lam) + alpha11 + space.sigma_bar.scaled(mubar)
         )
-        i1 = space.volume_pairing()
+        i1 = space.volume
         inner = (
             alpha11.wedge(alpha11)
-            .wedge(space.sigma_power(1))
-            .wedge(space.sigma_bar_power(1))
+            .wedge(space.sigma_pow[1])
+            .wedge(space.sigma_bar_pow[1])
             .integrate()
         )
         expected = i1 * i1 * (lam * mubar) + i1 * inner * Fraction(2, 2)
@@ -543,16 +543,16 @@ def test_four_torus_family_integrals():
     v = table.variable("V")
     t = {k: table.variable(f"t{k}") for k in range(1, 5)}
     st = family.sigma_t
-    assert space.volume_pairing() == 4 * v
+    assert space.volume == 4 * v
     assert (
         st.wedge(st).wedge(space.sigma).wedge(space.sigma_bar).integrate()
         == 4 * t[1] * t[2] * (1 - t[3] * t[4]) * v
     )
     assert (
-        st.wedge(space.sigma).wedge(space.sigma_bar_power(2)).integrate() == 4 * v
+        st.wedge(space.sigma).wedge(space.sigma_bar_pow[2]).integrate() == 4 * v
     )
     assert (
-        st.wedge(space.sigma_power(2)).wedge(space.sigma_bar).integrate()
+        st.wedge(space.sigma_pow[2]).wedge(space.sigma_bar).integrate()
         == 4 * t[1] * t[2] * v
     )
 

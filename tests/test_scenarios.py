@@ -6,7 +6,7 @@ import formbench.scenarios as scenarios
 from formbench.cli import main
 from formbench.errors import UnknownScenario
 from formbench.models import kodaira, model_to_dict, save_model
-from formbench.scalars import GaussianRational
+from formbench.scalars import GaussianRational, ScalarFraction, VariableTable
 from formbench.scenarios import Step, list_scenarios, run_scenario
 
 ALL_IDS = [
@@ -185,3 +185,31 @@ def test_register_scenario(monkeypatch):
     assert run_scenario("custom").passed
     with pytest.raises(ValueError):
         scenarios.register_scenario("custom", "again", lambda: [])
+
+
+def test_step_comparison_error_is_reported_with_its_cause(monkeypatch, capsys):
+    # fractions over two different tables cannot be compared; that is an
+    # error of the scenario, not a failed step
+    first = VariableTable([("V", "V")])
+    second = VariableTable([("V", "V"), ("t", "tb")])
+
+    def fake():
+        return [
+            Step("same table", ScalarFraction(first.variable("V")),
+                 ScalarFraction(first.variable("V"))),
+            Step("two tables", ScalarFraction(first.variable("V")),
+                 ScalarFraction(second.variable("V"))),
+        ]
+
+    monkeypatch.setitem(
+        scenarios._SCENARIOS, "fake", ("incomparable values", fake)
+    )
+    report = run_scenario("fake")
+    assert not report.passed
+    assert report.error.startswith("ValueError: ")
+    assert "different variable table" in report.error
+    assert report.error.endswith(")") and " (at scalars.py:" in report.error
+    assert main(["run", "fake", "--json"]) == 70
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == report.error
+    assert report.error in captured.err
