@@ -261,7 +261,7 @@ class Form:
 
     def power(self, k):
         """k-th wedge power by binary exponentiation; power 0 is the unit."""
-        return binary_power(self, k, self.coframe.unit(), Form.wedge)
+        return binary_power(self, k, self.coframe.unit())
 
     __pow__ = power
 

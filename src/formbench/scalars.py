@@ -9,21 +9,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
 from .errors import ConjugationMismatch, UnknownVariable
 
 
-def binary_power(base, k, one, times=mul):
-    """base**k by square-and-multiply from the unit ``one``; ``times`` is
-    the product (ordinary multiplication unless given)."""
+def binary_power(base, k, one):
+    """base**k by square-and-multiply from the unit ``one``."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("exponent must be a nonnegative integer")
     result = one
     while k:
         if k & 1:
-            result = times(result, base)
-        base = times(base, base)
+            result = result * base
+        base = base * base
         k >>= 1
     return result
 
