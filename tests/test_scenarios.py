@@ -155,6 +155,21 @@ def test_cli_bbf_gram(tmp_path, capsys):
     rows = [line for line in out.splitlines() if line.strip().startswith("[")]
     assert len(rows) == 4
 
+    def expected(entry):
+        # the Gram matrix on H^2 is anti-diagonal in this basis
+        matrix = [
+            "  [" + ", ".join(entry if i + j == 3 else "0" for j in range(4)) + "]"
+            for i in range(4)
+        ]
+        return "\n".join(
+            ["mu = mu", "basis:", "  w1^w2", "  w1^wb2", "  w2^wb1", "  wb1^wb2",
+             "gram:", *matrix, ""]
+        )
+
+    assert out == expected("(mu*mub) / (2*mu^2*mub^2)")
+    assert main(["bbf", "gram", str(path), "--sigma", "mu*w1^w2"]) == 0
+    assert capsys.readouterr().out == expected("(V^2*mu*mub) / (2)")
+
 
 def test_cli_unconjugated_parameter_is_an_error(tmp_path, capsys):
     document = model_to_dict(kodaira())
