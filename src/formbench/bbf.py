@@ -8,7 +8,7 @@ form sigma is evaluated by the three-integral expression
              + (1-n) I[alpha s^(n-1) sb^n] I[alpha s^n sb^(n-1)]
 
 with no normalization assumed; the formal total volume V stays in every
-result, and "normalized" Gram matrices substitute V -> 1/(mu*mub) at the
+result, and "normalized" Gram matrices set V = 1/(mu*mub) at the
 presentation layer only.
 """
 
@@ -25,7 +25,7 @@ from .errors import (
     OddSize,
     UnsupportedBasis,
 )
-from .scalars import ScalarFraction, substitute_fraction
+from .scalars import ScalarFraction
 
 
 class AntisymmetricMatrix:
@@ -116,10 +116,6 @@ class SymplecticSpace:
     sigma_pow: tuple
     sigma_bar_pow: tuple
     volume: object
-
-    def normalization(self):
-        """The fraction 1/(mu*mub) substituted for V in normalized output."""
-        return ScalarFraction(self.model.table.one(), self.mu * self.mu.conjugate())
 
 
 def make_symplectic(model, sigma):
@@ -220,8 +216,6 @@ class GramMatrix:
 
     basis: tuple
     entries: tuple
-    mode: str
-    normalized: bool = False
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -267,7 +261,7 @@ def gram_matrix(space, basis, mode="oracle"):
             )
             for first in records
         )
-        return GramMatrix(basis=basis, entries=entries, mode=mode)
+        return GramMatrix(basis, entries)
     if mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")
     kinds = [_classify_standard(space, form) for form in basis]
@@ -279,7 +273,7 @@ def gram_matrix(space, basis, mode="oracle"):
         )
         for a in kinds
     )
-    return GramMatrix(basis=basis, entries=entries, mode=mode)
+    return GramMatrix(basis, entries)
 
 
 def _classify_standard(space, form):
@@ -347,21 +341,29 @@ def gram_discrepancies(reference, candidate):
 
 
 def normalize_gram(space, gram):
-    """Substitute the normalization V -> 1/(mu*mub) into every entry."""
+    """Impose the normalization V = 1/(mu*mub) on every entry.
+
+    With P = mu*mub, an entry sum_j a_j V^j / sum_j b_j V^j becomes
+    sum_j a_j P^(k-j) / sum_j b_j P^(k-j), k the larger of its two V-degrees:
+    one fraction per entry, and the powers of P are shared by all entries."""
     name = space.model.coframe.volume_variable
-    inv = space.normalization()
+    table = space.model.table
+    powers = [table.one(), space.mu * space.mu.conjugate()]
+
+    def cleared(split, k):
+        terms = (c * powers[k - j] if j < k else c for j, c in split.items())
+        return sum(terms, table.zero())
 
     def normalize_entry(entry):
-        num = substitute_fraction(entry.numerator, name, inv)
-        den = substitute_fraction(entry.denominator, name, inv)
-        return num / den
+        num = entry.numerator.coefficients_in(name)
+        den = entry.denominator.coefficients_in(name)
+        k = max(max(num, default=0), max(den))
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[1])
+        return ScalarFraction(cleared(num, k), cleared(den, k))
 
-    entries = tuple(
-        tuple(normalize_entry(e) for e in row) for row in gram.entries
-    )
-    return GramMatrix(
-        basis=gram.basis, entries=entries, mode=gram.mode, normalized=True
-    )
+    entries = tuple(tuple(normalize_entry(e) for e in row) for row in gram.entries)
+    return GramMatrix(gram.basis, entries)
 
 
 def standard_degree_two_basis(model):

@@ -14,16 +14,14 @@ from .errors import ConjugationMismatch, UnknownVariable
 
 
 def binary_power(base, k, one):
-    """base**k by square-and-multiply from the unit ``one``."""
+    """base**k by repeated squaring; ``one`` is returned for k = 0, and no
+    product involves the unit or follows the last bit of k."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    result = one
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base
-        k >>= 1
-    return result
+    if k < 2:
+        return base if k else one
+    half = binary_power(base * base, k >> 1, one)
+    return half * base if k & 1 else half
 
 
 def _as_fraction(value):

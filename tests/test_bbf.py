@@ -7,6 +7,7 @@ import pytest
 from formbench import linalg
 from formbench.bbf import (
     AntisymmetricMatrix,
+    GramMatrix,
     check_block_orthogonality,
     bilinear,
     gram_matrix,
@@ -269,12 +270,10 @@ def test_two_torus_bilinear_is_half_integral():
         _, space = random_symplectic(rng, model)
         psi = random_closed_two_form(rng, model)
         eta = random_closed_two_form(rng, model)
-        normalized = substitute_fraction(
-            bilinear(space, psi, eta), v, space.normalization()
-        )
+        inv = ScalarFraction(model.table.one(), space.mu * space.mu.conjugate())
+        normalized = substitute_fraction(bilinear(space, psi, eta), v, inv)
         direct = substitute_fraction(
-            (psi.wedge(eta).integrate() * Fraction(1, 2)), v,
-            space.normalization(),
+            (psi.wedge(eta).integrate() * Fraction(1, 2)), v, inv
         )
         assert normalized == direct
 
@@ -382,6 +381,52 @@ def test_four_torus_gram_symbolic():
     closed = gram_matrix(space, basis, mode="closed_form")
     assert oracle.matches(closed)
     assert oracle.is_symmetric()
+
+
+def kodaira_oracle_gram():
+    model = kodaira()
+    space = make_symplectic(model, kodaira_sigma(model))
+    return space, gram_matrix(space, model.cohomology("de_rham", 2).basis)
+
+
+def formal_pair_oracle_gram():
+    # a 4-torus sigma with one coefficient left formal, as in the gram benchmark
+    model = torus(4, parameters=[("l", "lb")])
+    values = random_lambda(random.Random(131), 4)
+    values[(2, 4)] = model.table.variable("l")
+    space = make_symplectic(model, sigma_from_lambda(model, values))
+    return space, gram_matrix(space, standard_degree_two_basis(model))
+
+
+def mixed_degree_gram():
+    # V-degrees 0, 1 and 2, a V in one denominator and one zero entry
+    model = kodaira()
+    space = make_symplectic(model, kodaira_sigma(model))
+    table = model.table
+    v, mu, mub = (table.variable(name) for name in ("V", "mu", "mub"))
+    entries = (
+        (ScalarFraction(mu * 3 + I), ScalarFraction(v * mu - 2, mub * 5)),
+        (ScalarFraction(v * v * I + v, v * mu + 1), ScalarFraction(table.zero())),
+    )
+    return space, GramMatrix((), entries)
+
+
+@pytest.mark.parametrize(
+    "make_gram", [kodaira_oracle_gram, formal_pair_oracle_gram, mixed_degree_gram]
+)
+def test_normalize_gram_matches_substitute_and_divide(make_gram):
+    space, gram = make_gram()
+    inv = ScalarFraction(space.model.table.one(), space.mu * space.mu.conjugate())
+    normalized = normalize_gram(space, gram)
+    assert normalized.size == gram.size
+    for row, normalized_row in zip(gram.entries, normalized.entries):
+        for entry, value in zip(row, normalized_row):
+            assert value == (
+                substitute_fraction(entry.numerator, "V", inv)
+                / substitute_fraction(entry.denominator, "V", inv)
+            )
+            if not entry:
+                assert str(value) == "0"
 
 
 def test_gram_closed_form_rejects_unsupported():
@@ -576,13 +621,7 @@ def test_gram_discrepancies_flags_entries():
     # perturb one closed-form entry and the audit names it
     rows = [list(row) for row in closed.entries]
     rows[0][5] = rows[0][5] * 3
-    from formbench.bbf import GramMatrix
-
-    broken = GramMatrix(
-        basis=closed.basis,
-        entries=tuple(tuple(row) for row in rows),
-        mode="closed_form",
-    )
+    broken = GramMatrix(closed.basis, tuple(tuple(row) for row in rows))
     assert gram_discrepancies(oracle, broken) == [(0, 5)]
 
 

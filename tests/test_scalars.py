@@ -8,6 +8,7 @@ from formbench.scalars import (
     GaussianRational,
     ScalarFraction,
     VariableTable,
+    binary_power,
     rational_content,
     substitute_fraction,
 )
@@ -218,6 +219,53 @@ def test_substitute_fraction():
     result = substitute_fraction(poly, "V", ScalarFraction(table.one(), u))
     expected_num = table.constant(3) + table.variable("t1") * u + u * u * 5
     assert result == ScalarFraction(expected_num, u * u)
+
+
+class Counting:
+    """A multiplicand that records every product made from it."""
+
+    def __init__(self, log, exponent=1):
+        self.log = log
+        self.exponent = exponent
+
+    def __mul__(self, other):
+        self.log.append((self.exponent, other.exponent))
+        return Counting(self.log, self.exponent + other.exponent)
+
+
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (8, 3)])
+def test_binary_power_product_count(k, products):
+    log = []
+    result = binary_power(Counting(log), k, Counting(log, 0))
+    assert result.exponent == k
+    assert len(log) == products
+    assert (0, 1) not in log and (1, 0) not in log  # never multiplies by the unit
+
+
+def test_binary_power_rejects_bad_exponent():
+    for k in (-1, 1.5, "2"):
+        with pytest.raises(ValueError):
+            binary_power(GaussianRational(2), k, GaussianRational(1))
+
+
+def test_powers_equal_repeated_multiplication():
+    from formbench.models import torus
+
+    rng = random.Random(61)
+    table = small_table()
+    model = torus(4)
+    z = nonzero_gaussian(rng)
+    p = random_poly(rng, table) + table.variable("t1")
+    sigma = model.coframe.form(
+        {("x1", "x2"): nonzero_gaussian(rng), ("x3", "x4"): nonzero_gaussian(rng),
+         ("x1", "x3"): nonzero_gaussian(rng)}
+    )
+    for base, one in ((z, GaussianRational(1)), (p, table.one()),
+                      (sigma, model.coframe.unit())):
+        product = one
+        for k in range(9):
+            assert base ** k == product
+            product = product * base
 
 
 def test_scalar_rendering_roundtrip():
