@@ -188,6 +188,24 @@ def test_fraction_equality_is_equivalence():
         assert b == c and a == c
 
 
+def test_fraction_equality_rejects_other_tables():
+    a = VariableTable([("V", "V")])
+    b = VariableTable([("W", "W")])
+    pairs = [
+        (ScalarFraction(a.zero()), ScalarFraction(b.variable("W"))),
+        (ScalarFraction(a.variable("V")), ScalarFraction(b.zero())),
+        (ScalarFraction(a.zero()), ScalarFraction(b.zero())),
+        # identical term maps over different tables
+        (ScalarFraction(a.variable("V")), ScalarFraction(b.variable("W"))),
+        (ScalarFraction(a.one(), a.variable("V")),
+         ScalarFraction(b.one(), b.variable("W"))),
+    ]
+    for left, right in pairs:
+        for x, y in ((left, right), (right, left)):
+            with pytest.raises(ValueError, match="different variable tables"):
+                x == y
+
+
 def test_fraction_arithmetic():
     table = small_table()
     t1 = table.variable("t1")
