@@ -195,8 +195,7 @@ def _combine(space, psi_record, eta, eta_record):
     n = space.n
     mixed = eta.wedge(psi_wedge).integrate()
     cross = psi_holo * eta_anti + eta_holo * psi_anti
-    total = space.volume * mixed * n + cross * Fraction(1 - n)
-    return total * Fraction(1, 2)
+    return space.volume * mixed * Fraction(n, 2) + cross * Fraction(1 - n, 2)
 
 
 def bilinear(space, psi, eta):

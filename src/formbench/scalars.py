@@ -8,7 +8,8 @@ threads; all operations return fresh values.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
 
 from .errors import ConjugationMismatch, UnknownVariable
 
@@ -306,16 +307,19 @@ class PolyScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = terms.get(e, ZERO) + c1 * c2
-                if c:
-                    terms[e] = c
-                else:
-                    terms.pop(e, None)
-        return PolyScalar(self.table, terms)
+        left, left_den = _integer_terms(self)
+        right, right_den = _integer_terms(other)
+        sums = {}
+        for e1, a, b in left:
+            for e2, c, d in right:
+                e = tuple(map(add, e1, e2))
+                re, im = sums.get(e, (0, 0))
+                sums[e] = (re + a * c - b * d, im + a * d + b * c)
+        den = left_den * right_den
+        return PolyScalar(self.table, {
+            e: GaussianRational(Fraction(re, den), Fraction(im, den))
+            for e, (re, im) in sums.items() if re or im
+        })
 
     __rmul__ = __mul__
 
@@ -483,6 +487,19 @@ class PolyScalar:
         return f"<PolyScalar {self}>"
 
 
+def _integer_terms(poly):
+    """The terms of a polynomial as (exponents, re, im) with Gaussian-integer
+    numerators over one common denominator, and that denominator."""
+    den = 1
+    for c in poly.terms.values():
+        den = lcm(den, c.re.denominator, c.im.denominator)
+    return [
+        (e, c.re.numerator * (den // c.re.denominator),
+         c.im.numerator * (den // c.im.denominator))
+        for e, c in poly.terms.items()
+    ], den
+
+
 def rational_content(poly):
     """The positive rational content of a nonzero polynomial: the largest
     c with poly/c having coprime integer Gaussian coefficients."""
@@ -500,7 +517,8 @@ def rational_content(poly):
 
 
 class ScalarFraction:
-    """A formal quotient of polynomials, compared by cross-multiplication.
+    """A formal quotient of polynomials, compared by cross-multiplication
+    unless a numerator is zero or the denominators are equal.
 
     Only integer content is removed on construction; no polynomial gcd is
     attempted.
@@ -547,6 +565,14 @@ class ScalarFraction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other.table != self.table:
+            raise ValueError("scalars over different variable tables")
+        # exact shortcuts: denominators are nonzero and Q(i)[vars] has no
+        # zero divisors
+        if not self.numerator or not other.numerator:
+            return not self.numerator and not other.numerator
+        if self.denominator == other.denominator:
+            return self.numerator == other.numerator
         return self.numerator * other.denominator == other.numerator * self.denominator
 
     __hash__ = None

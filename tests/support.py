@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from formbench.scalars import GaussianRational
+from formbench.scalars import ZERO, GaussianRational, PolyScalar
 
 
 def rational(rng, lo=-4, hi=4, max_den=4):
@@ -29,6 +29,38 @@ def random_poly(rng, table, max_terms=3, max_exp=2):
         }
         poly = poly + table.monomial(exponents, gaussian(rng))
     return poly
+
+
+def wide_poly(rng, table, max_terms=4, max_exp=2):
+    """A polynomial whose coefficient parts have numerators near 10**12 and
+    denominators 1-9; some parts are zero."""
+
+    def part():
+        if rng.random() < 0.2:
+            return Fraction(0)
+        return Fraction(rng.choice((-1, 1)) * (10**12 + rng.randint(-99, 99)),
+                        rng.randint(1, 9))
+
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exponents = tuple(rng.randint(0, max_exp) for _ in table.names)
+        terms[exponents] = GaussianRational(part(), part())
+    return PolyScalar(table, terms)
+
+
+def schoolbook_product(left, right):
+    """The product of two polynomials term pair by term pair in Q(i), an
+    independent route for the integer kernel of PolyScalar.__mul__."""
+    terms = {}
+    for e1, c1 in left.terms.items():
+        for e2, c2 in right.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = terms.get(e, ZERO) + c1 * c2
+            if c:
+                terms[e] = c
+            else:
+                terms.pop(e, None)
+    return PolyScalar(left.table, terms)
 
 
 def random_form(rng, model, degree=None, bidegree=None, max_terms=2):

@@ -12,7 +12,13 @@ from formbench.scalars import (
     rational_content,
     substitute_fraction,
 )
-from support import gaussian, nonzero_gaussian, random_poly
+from support import (
+    gaussian,
+    nonzero_gaussian,
+    random_poly,
+    schoolbook_product,
+    wide_poly,
+)
 
 I = GaussianRational(0, 1)
 
@@ -204,6 +210,103 @@ def test_fraction_equality_rejects_other_tables():
         for x, y in ((left, right), (right, left)):
             with pytest.raises(ValueError, match="different variable tables"):
                 x == y
+
+
+def test_fraction_equality_shortcuts():
+    table = small_table()
+    t1, t2, u = (table.variable(n) for n in ("t1", "t2", "u"))
+    zero_over_t1 = ScalarFraction(table.zero(), t1)
+    zero_over_u = ScalarFraction(table.zero(), u + 1)
+    assert zero_over_t1 == zero_over_u and zero_over_u == zero_over_t1
+    assert zero_over_t1 == 0
+    assert zero_over_t1 != ScalarFraction(t1, t1)
+    assert ScalarFraction(t2, u) != zero_over_u
+    assert ScalarFraction(t1, u) != ScalarFraction(t2, u)
+    assert ScalarFraction(t1, u) != ScalarFraction(t1 * 2, u)
+    assert ScalarFraction(t1 + t2, u) == ScalarFraction(t2 + t1, u)
+
+
+def test_fraction_equality_falls_back_to_cross_multiplying():
+    rng = random.Random(29)
+    table = small_table()
+    for _ in range(40):
+        num = random_poly(rng, table) + table.variable("t2")
+        den = random_poly(rng, table, max_terms=2) + table.constant(
+            nonzero_gaussian(rng)
+        )
+        p = random_poly(rng, table, max_terms=2) + table.variable("u")
+        a = ScalarFraction(num, den)
+        b = ScalarFraction(num * p, den * p)
+        assert a.denominator != b.denominator
+        assert a == b and b == a
+        assert ScalarFraction(num + 1, den) != b
+
+
+def product_cases(rng, table):
+    """Seeded factor pairs: wide random polynomials, the zero polynomial,
+    constants, and (p + q)(p - q) whose cross terms cancel to zero."""
+    for _ in range(60):
+        yield wide_poly(rng, table), wide_poly(rng, table)
+    for _ in range(20):
+        p, q = wide_poly(rng, table), wide_poly(rng, table)
+        c = table.constant(wide_poly(rng, table, max_exp=0).constant_value())
+        yield p + q, p - q
+        yield table.zero(), p
+        yield p, table.zero()
+        yield c, p
+        yield p, c
+        yield c, table.constant(gaussian(rng))
+    for _ in range(20):
+        p = wide_poly(rng, table, max_terms=1) + table.variable("t1")
+        q = wide_poly(rng, table, max_terms=1, max_exp=0) + 1
+        yield p + q, p - q
+
+
+def test_product_matches_schoolbook_route():
+    rng = random.Random(67)
+    table = small_table()
+    cancelled = 0
+    for left, right in product_cases(rng, table):
+        got = left * right
+        expected = schoolbook_product(left, right)
+        assert got.terms == expected.terms
+        assert all(
+            isinstance(c, GaussianRational) and c for c in got.terms.values()
+        )
+        pairs = {
+            tuple(a + b for a, b in zip(e1, e2))
+            for e1 in left.terms for e2 in right.terms
+        }
+        cancelled += len(pairs) - len(got.terms)
+    assert cancelled > 0
+
+
+def test_product_matches_sympy():
+    import sympy
+
+    rng = random.Random(73)
+    table = small_table()
+    symbols = sympy.symbols(table.names)
+
+    def to_sympy(poly):
+        terms = {
+            e: sympy.Rational(c.re.numerator, c.re.denominator)
+            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+            for e, c in poly.terms.items()
+        }
+        return sympy.Poly.from_dict(terms, *symbols, domain=sympy.QQ_I)
+
+    for left, right in product_cases(rng, table):
+        assert to_sympy(left) * to_sympy(right) == to_sympy(left * right)
+
+
+def test_product_stores_parts_in_lowest_terms():
+    table = small_table()
+    left = table.monomial({"t1": 1}, GaussianRational(Fraction(1, 2), Fraction(1, 3)))
+    (coeff,) = (left * GaussianRational(6, 4)).terms.values()
+    # (3 + 2i)/6 * (6 + 4i) = (10 + 24i)/6
+    assert coeff == GaussianRational(Fraction(5, 3), 4)
+    assert (coeff.re.denominator, coeff.im.denominator) == (3, 1)
 
 
 def test_fraction_arithmetic():
