@@ -300,15 +300,6 @@ def test_product_matches_sympy():
         assert to_sympy(left) * to_sympy(right) == to_sympy(left * right)
 
 
-def test_product_stores_parts_in_lowest_terms():
-    table = small_table()
-    left = table.monomial({"t1": 1}, GaussianRational(Fraction(1, 2), Fraction(1, 3)))
-    (coeff,) = (left * GaussianRational(6, 4)).terms.values()
-    # (3 + 2i)/6 * (6 + 4i) = (10 + 24i)/6
-    assert coeff == GaussianRational(Fraction(5, 3), 4)
-    assert (coeff.re.denominator, coeff.im.denominator) == (3, 1)
-
-
 def test_fraction_arithmetic():
     table = small_table()
     t1 = table.variable("t1")
