@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 
 from .errors import ConjugationMismatch, UnknownVariable
 
@@ -312,7 +311,7 @@ class PolyScalar:
         sums = {}
         for e1, a, b in left:
             for e2, c, d in right:
-                e = tuple(map(add, e1, e2))
+                e = tuple(x + y for x, y in zip(e1, e2))
                 re, im = sums.get(e, (0, 0))
                 sums[e] = (re + a * c - b * d, im + a * d + b * c)
         den = left_den * right_den
@@ -518,7 +517,7 @@ def rational_content(poly):
 
 class ScalarFraction:
     """A formal quotient of polynomials, compared by cross-multiplication
-    unless a numerator is zero or the denominators are equal.
+    unless the denominators are equal.
 
     Only integer content is removed on construction; no polynomial gcd is
     attempted.
@@ -565,12 +564,7 @@ class ScalarFraction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.table != self.table:
-            raise ValueError("scalars over different variable tables")
-        # exact shortcuts: denominators are nonzero and Q(i)[vars] has no
-        # zero divisors
-        if not self.numerator or not other.numerator:
-            return not self.numerator and not other.numerator
+        # exact: denominators are nonzero and Q(i)[vars] has no zero divisors
         if self.denominator == other.denominator:
             return self.numerator == other.numerator
         return self.numerator * other.denominator == other.numerator * self.denominator

@@ -262,29 +262,10 @@ def product_cases(rng, table):
         yield p + q, p - q
 
 
-def test_product_matches_schoolbook_route():
-    rng = random.Random(67)
-    table = small_table()
-    cancelled = 0
-    for left, right in product_cases(rng, table):
-        got = left * right
-        expected = schoolbook_product(left, right)
-        assert got.terms == expected.terms
-        assert all(
-            isinstance(c, GaussianRational) and c for c in got.terms.values()
-        )
-        pairs = {
-            tuple(a + b for a, b in zip(e1, e2))
-            for e1 in left.terms for e2 in right.terms
-        }
-        cancelled += len(pairs) - len(got.terms)
-    assert cancelled > 0
-
-
-def test_product_matches_sympy():
+def test_product_matches_schoolbook_and_sympy_routes():
     import sympy
 
-    rng = random.Random(73)
+    rng = random.Random(67)
     table = small_table()
     symbols = sympy.symbols(table.names)
 
@@ -296,8 +277,20 @@ def test_product_matches_sympy():
         }
         return sympy.Poly.from_dict(terms, *symbols, domain=sympy.QQ_I)
 
+    cancelled = 0
     for left, right in product_cases(rng, table):
-        assert to_sympy(left) * to_sympy(right) == to_sympy(left * right)
+        got = left * right
+        assert got.terms == schoolbook_product(left, right).terms
+        assert to_sympy(left) * to_sympy(right) == to_sympy(got)
+        assert all(
+            isinstance(c, GaussianRational) and c for c in got.terms.values()
+        )
+        pairs = {
+            tuple(a + b for a, b in zip(e1, e2))
+            for e1 in left.terms for e2 in right.terms
+        }
+        cancelled += len(pairs) - len(got.terms)
+    assert cancelled > 0
 
 
 def test_fraction_arithmetic():
