@@ -269,28 +269,22 @@ class StructureModel:
             )
         return coeff.constant_value()
 
-    def _form(self, vector, monomials):
-        table = self.table
-        terms = {}
-        for mon, value in zip(monomials, vector):
-            if value:
-                terms[mon] = table.constant(value)
-        return Form(self.coframe, terms)
+    def _form(self, row, monomials):
+        """The form of a sparse {index: value} row over the monomials."""
+        constant = self.table.constant
+        return Form(self.coframe,
+                    {monomials[c]: constant(row[c]) for c in sorted(row)})
 
-    def _operator_matrix(self, op, sources, targets):
+    def _images(self, op, sources, targets):
+        """The image of each source monomial under op as a sparse
+        {target index: value} vector."""
         index = {m: i for i, m in enumerate(targets)}
-        matrix = linalg.zeros(len(targets), len(sources))
         one = self.table.one()
-        for col, mon in enumerate(sources):
-            image = op(Form(self.coframe, {mon: one}))
-            for m, coeff in image.terms.items():
-                matrix[index[m]][col] = self._constant(coeff)
-        return matrix
-
-    def _image_vectors(self, op, sources, targets):
-        matrix = self._operator_matrix(op, sources, targets)
-        return [[matrix[r][c] for r in range(len(targets))]
-                for c in range(len(sources))]
+        return [
+            {index[m]: self._constant(coeff)
+             for m, coeff in op(Form(self.coframe, {mon: one})).terms.items()}
+            for mon in sources
+        ]
 
     # -- cohomology --------------------------------------------------------------
 
@@ -306,11 +300,15 @@ class StructureModel:
         if cached is not None:
             return cached
         space = self._space(slot)
-        stacked = []
+        stacked = []  # rows of the cocycle operators; images are columns
         for name, step in OPERATORS[theory][0]:
-            stacked += self._operator_matrix(
-                getattr(self, name), space, self._space(_shift(slot, step))
-            )
+            rows = {}
+            images = self._images(getattr(self, name), space,
+                                  self._space(_shift(slot, step)))
+            for col, image in enumerate(images):
+                for r, value in image.items():
+                    rows.setdefault(r, {})[col] = value
+            stacked += rows.values()
         cocycles = linalg.nullspace(stacked, len(space))
         boundaries = self._boundary_vectors(theory, slot, space)
         reps = linalg.quotient_representatives(cocycles, boundaries)
@@ -354,8 +352,7 @@ class StructureModel:
         report = self.cohomology(theory, slot)
         reps = [self._vector(b, space) for b in report.basis]
         boundaries = self._boundary_vectors(theory, slot, space)
-        columns = reps + boundaries
-        matrix = [[columns[c][r] for c in range(len(columns))]
+        matrix = [[rep[r] for rep in reps] + [b.get(r, ZERO) for b in boundaries]
                   for r in range(len(space))]
         solution = linalg.solve(matrix, vec)
         if solution is None:
@@ -365,7 +362,7 @@ class StructureModel:
     def _boundary_vectors(self, theory, slot, space):
         vectors = []
         for name, step in OPERATORS[theory][1]:
-            vectors += self._image_vectors(
+            vectors += self._images(
                 getattr(self, name), self._space(_shift(slot, step, -1)), space
             )
         return vectors
@@ -412,8 +409,13 @@ def _normalize_slot(theory, slot):
     if theory not in THEORIES:
         raise ValueError(f"unknown theory {theory!r}; expected one of {THEORIES}")
     if theory == DE_RHAM:
-        if not isinstance(slot, int):
-            raise ValueError("de Rham cohomology takes an integer degree")
+        if isinstance(slot, bool) or not isinstance(slot, int):
+            raise ValueError(
+                f"de Rham cohomology takes an integer degree k, got {slot!r}")
         return theory, slot
-    p, q = slot
+    try:
+        p, q = slot
+    except (TypeError, ValueError):
+        raise ValueError(f"{theory} cohomology takes a bidegree pair (p, q), "
+                         f"got {slot!r}") from None
     return theory, (int(p), int(q))

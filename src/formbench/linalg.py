@@ -1,17 +1,16 @@
-"""Exact dense linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals.
 
-Matrices are lists of row lists of GaussianRational.  Elimination pivots on
-the first nonzero entry in column order; there is no numerical tolerance
-anywhere in the package.
+Dense matrices are lists of row lists of GaussianRational; ``rref``,
+``rank``, ``solve`` and the determinants work on them.  The cohomology
+tables use ``nullspace`` and ``quotient_representatives``, which work on
+sparse rows: ``{column: value}`` dicts holding only the nonzero entries.
+Elimination pivots on the first nonzero entry in column order; there is no
+numerical tolerance anywhere in the package.
 """
 
 from __future__ import annotations
 
 from .scalars import ONE, ZERO
-
-
-def zeros(rows, cols):
-    return [[ZERO for _ in range(cols)] for _ in range(rows)]
 
 
 def rref(matrix):
@@ -48,21 +47,58 @@ def rank(matrix):
     return len(rref(matrix)[1])
 
 
-def nullspace(matrix, n_cols=None):
-    """A basis of the kernel of the matrix acting on column vectors."""
-    if not matrix:
-        n = n_cols or 0
-        return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    reduced, pivots = rref(matrix)
-    n = len(matrix[0])
-    free = [c for c in range(n) if c not in pivots]
+def _subtract(row, factor, pivot_row):
+    """row -= factor * pivot_row on sparse rows, dropping entries that cancel."""
+    for c, x in pivot_row.items():
+        value = row.get(c, ZERO) - factor * x
+        if value:
+            row[c] = value
+        else:
+            del row[c]
+
+
+def _reduce(vec, echelon):
+    """A copy of vec with every pivot column of the echelon cleared.
+
+    ``echelon`` maps pivot columns to rows that are 1 there and 0 at every
+    pivot inserted before them, so one pass in insertion order clears all
+    pivots; the remainder is unique, so the order does not change it.
+    """
+    v = dict(vec)
+    for pivot, row in echelon.items():
+        if pivot in v:
+            _subtract(v, v[pivot], row)
+    return v
+
+
+def _normalized(v):
+    """(pivot, row): v scaled to 1 at its first nonzero column."""
+    pivot = min(v)
+    inv = ONE / v[pivot]
+    return pivot, {c: x * inv for c, x in v.items()}
+
+
+def nullspace(rows, n_cols):
+    """A basis of the kernel of the sparse rows acting on column vectors of
+    length n_cols: one vector per free column of the reduced row echelon
+    form, in column order."""
+    reduced = {}  # pivot column -> row that is 1 there and 0 at other pivots
+    for vec in rows:
+        v = _reduce(vec, reduced)
+        if v:
+            pivot, v = _normalized(v)
+            for row in reduced.values():
+                if pivot in row:
+                    _subtract(row, row[pivot], v)
+            reduced[pivot] = v
     basis = []
-    for f in free:
-        vec = [ZERO] * n
-        vec[f] = ONE
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][f]
-        basis.append(vec)
+    for f in range(n_cols):
+        if f not in reduced:
+            vec = {f: ONE}
+            for p, row in reduced.items():
+                if f in row:
+                    vec[p] = -row[f]
+            basis.append(vec)
     return basis
 
 
@@ -140,35 +176,19 @@ def quotient_representatives(cocycles, boundaries):
     """Representatives of span(cocycles) modulo span(boundaries).
 
     Reduces each cocycle against an echelon of the boundaries; nonzero
-    remainders become echelon-form representatives.  Vector lists are over
-    GaussianRational.
+    remainders become echelon-form representatives.  Vectors are sparse
+    ``{column: value}`` dicts over GaussianRational.
     """
-    echelon = []  # list of (pivot index, normalized row)
-
-    def reduce(vec):
-        v = list(vec)
-        for pivot, row in echelon:
-            if v[pivot]:
-                factor = v[pivot]
-                v = [a - factor * b for a, b in zip(v, row)]
-        return v
+    echelon = {}  # pivot column -> row normalized there, in insertion order
 
     def insert(vec):
-        v = reduce(vec)
-        for i, x in enumerate(v):
-            if x:
-                inv = ONE / x
-                row = [y * inv for y in v]
-                echelon.append((i, row))
-                echelon.sort(key=lambda item: item[0])
-                return row
-        return None
+        v = _reduce(vec, echelon)
+        if not v:
+            return None
+        pivot, row = _normalized(v)
+        echelon[pivot] = row
+        return row
 
     for b in boundaries:
         insert(b)
-    reps = []
-    for z in cocycles:
-        row = insert(z)
-        if row is not None:
-            reps.append(row)
-    return reps
+    return [row for row in map(insert, cocycles) if row is not None]

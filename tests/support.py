@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from formbench.scalars import ZERO, GaussianRational, PolyScalar
+from formbench.linalg import rref
+from formbench.scalars import ONE, ZERO, GaussianRational, PolyScalar
 
 
 def rational(rng, lo=-4, hi=4, max_den=4):
@@ -82,3 +83,69 @@ def random_form(rng, model, degree=None, bidegree=None, max_terms=2):
 def random_closed_two_form(rng, model, max_terms=3):
     """Random degree-2 form on a model with zero differential (all closed)."""
     return random_form(rng, model, degree=2, max_terms=max_terms)
+
+
+# -- dense reference routes of the sparse elimination in formbench.linalg -------
+
+
+def dense(vec, n):
+    """A sparse {column: value} vector as a dense list of length n."""
+    return [vec.get(c, ZERO) for c in range(n)]
+
+
+def sparse(row):
+    """A dense list as a sparse {column: value} vector."""
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def reference_nullspace(matrix, n_cols):
+    """The kernel basis of a dense matrix from the dense rref: one vector per
+    free column, in column order."""
+    if not matrix:
+        return [[ONE if i == j else ZERO for j in range(n_cols)]
+                for i in range(n_cols)]
+    reduced, pivots = rref(matrix)
+    n = len(matrix[0])
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [ZERO] * n
+        vec[f] = ONE
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced[r][f]
+        basis.append(vec)
+    return basis
+
+
+def reference_quotient_representatives(cocycles, boundaries):
+    """Representatives of span(cocycles) modulo span(boundaries) on dense
+    vectors, reducing against an echelon re-sorted after every insert."""
+    echelon = []  # list of (pivot index, normalized row)
+
+    def reduce(vec):
+        v = list(vec)
+        for pivot, row in echelon:
+            if v[pivot]:
+                factor = v[pivot]
+                v = [a - factor * b for a, b in zip(v, row)]
+        return v
+
+    def insert(vec):
+        v = reduce(vec)
+        for i, x in enumerate(v):
+            if x:
+                inv = ONE / x
+                row = [y * inv for y in v]
+                echelon.append((i, row))
+                echelon.sort(key=lambda item: item[0])
+                return row
+        return None
+
+    for b in boundaries:
+        insert(b)
+    reps = []
+    for z in cocycles:
+        row = insert(z)
+        if row is not None:
+            reps.append(row)
+    return reps

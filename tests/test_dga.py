@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from formbench import linalg
 from formbench.dga import (
     AEPPLI,
     BOTT_CHERN,
@@ -20,8 +23,14 @@ from formbench.errors import (
 )
 from formbench.exterior import Coframe, Form, Generator
 from formbench.models import kodaira, nakamura, torus
-from formbench.scalars import GaussianRational, VariableTable
-from support import gaussian, nonzero_gaussian, random_form
+from formbench.scalars import ZERO, GaussianRational, VariableTable
+from support import (
+    gaussian,
+    nonzero_gaussian,
+    random_form,
+    reference_nullspace,
+    reference_quotient_representatives,
+)
 
 I = GaussianRational(0, 1)
 
@@ -478,6 +487,102 @@ def test_class_of_and_lambda_map_every_theory(theory):
     mixed = omega + model.coframe.generator_form("x1")
     with pytest.raises(ValueError, match="homogeneous"):
         model.lambda_map(mixed, theory, source)
+
+
+def bench_shape_nilpotent(rng):
+    """A nilpotent model of the benchmark's document shape: z1..z3 closed,
+    dz4 a seeded combination of two (2,0) or (1,1) monomials of z1..z3, and
+    the conjugate equation for zb4."""
+    holo = [Generator(f"z{i}", (1, 0), i) for i in range(1, 5)]
+    anti = [Generator(f"zb{i}", (0, 1), i) for i in range(1, 5)]
+    cf = Coframe(holo + anti, VariableTable([("V", "V")]),
+                 conjugates={f"z{i}": f"zb{i}" for i in range(1, 5)},
+                 volume=[g.name for g in holo + anti])
+    monomials = [(f"z{a}", f"z{b}") for a, b in combinations(range(1, 4), 2)]
+    monomials += [(f"z{a}", f"zb{b}") for a in range(1, 4) for b in range(1, 4)]
+    dz4 = cf.zero_form()
+    for mon in rng.sample(monomials, 2):
+        coeff = GaussianRational(rng.choice((-1, 1)), rng.randint(-1, 1))
+        dz4 = dz4 + cf.monomial_form(mon, coeff)
+    return StructureModel(cf, {"z4": dz4, "zb4": dz4.conjugate()})
+
+
+def dense_route_basis(model, theory, slot, space):
+    """The representatives of one slot from dense matrices of the public
+    operator images, reduced by the dense reference routes."""
+    cf = model.coframe
+    one = cf.table.one()
+    index = {m: i for i, m in enumerate(space)}
+
+    def image(op, mon):
+        return {m: c.constant_value()
+                for m, c in op(Form(cf, {mon: one})).terms.items()}
+
+    rows = {}  # (operator number, target monomial) -> dense row
+    for k, op in enumerate(_cocycle_operators(model, theory)):
+        for col, mon in enumerate(space):
+            for m, value in image(op, mon).items():
+                rows.setdefault((k, m), [ZERO] * len(space))[col] = value
+    boundaries = []
+    for op, sources in _boundary_sources(model, theory, slot):
+        for mon in sources:
+            vec = [ZERO] * len(space)
+            for m, value in image(op, mon).items():
+                vec[index[m]] = value
+            boundaries.append(vec)
+    cocycles = reference_nullspace(list(rows.values()), len(space))
+    reps = reference_quotient_representatives(cocycles, boundaries)
+    return tuple(
+        Form(cf, {m: cf.table.constant(x) for m, x in zip(space, rep) if x})
+        for rep in reps
+    )
+
+
+def test_reports_match_dense_reference_route():
+    models = [torus(2), kodaira(), nakamura(Fraction(1, 2)).model,
+              bench_shape_nilpotent(random.Random(41))]
+    for model in models:
+        for theory in THEORIES:
+            for slot, space in _slots_and_spaces(model, theory):
+                expected = dense_route_basis(model, theory, slot, space)
+                assert model.cohomology(theory, slot).basis == expected, (
+                    model, theory, slot)
+
+
+def test_tables_never_reach_dense_elimination(monkeypatch):
+    def dense_elimination(*args):
+        raise RuntimeError("a cohomology table reached dense elimination")
+
+    monkeypatch.setattr(linalg, "rref", dense_elimination)
+    monkeypatch.setattr(linalg, "solve", dense_elimination)
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(linalg, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in ("nullspace", "quotient_representatives"):
+        monkeypatch.setattr(linalg, name, counted(name))
+    model = nakamura(Fraction(1, 2)).model
+    reports = [model.cohomology(theory, slot) for theory in THEORIES
+               for slot, _ in _slots_and_spaces(model, theory)]
+    assert calls == {"nullspace": len(reports),
+                     "quotient_representatives": len(reports)}
+
+
+def test_de_rham_rejects_bool_degree():
+    with pytest.raises(ValueError, match="integer degree"):
+        kodaira().cohomology(DE_RHAM, True)
+
+
+def test_bigraded_theory_rejects_bare_degree():
+    with pytest.raises(ValueError, match=r"bidegree pair \(p, q\)"):
+        kodaira().cohomology(DOLBEAULT, 1)
 
 
 # -- parameter handling --------------------------------------------------------------

@@ -2,7 +2,14 @@ import random
 
 from formbench import linalg
 from formbench.scalars import GaussianRational
-from support import gaussian
+from support import (
+    dense,
+    gaussian,
+    nonzero_gaussian,
+    reference_nullspace,
+    reference_quotient_representatives,
+    sparse,
+)
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -33,10 +40,11 @@ def test_nullspace_vectors_annihilate():
     rng = random.Random(3)
     for _ in range(25):
         matrix = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
-        basis = linalg.nullspace(matrix, len(matrix[0]))
-        assert len(basis) == len(matrix[0]) - linalg.rank(matrix)
+        n = len(matrix[0])
+        basis = linalg.nullspace([sparse(row) for row in matrix], n)
+        assert len(basis) == n - linalg.rank(matrix)
         for vec in basis:
-            assert all(not x for x in mat_vec(matrix, vec))
+            assert all(not x for x in mat_vec(matrix, dense(vec, n)))
 
 
 def test_nullspace_of_empty_matrix():
@@ -77,12 +85,66 @@ def test_determinant_ring_matches_field_version():
 
 
 def test_quotient_representatives():
-    e1 = [ONE, ZERO, ZERO]
-    e2 = [ZERO, ONE, ZERO]
-    e12 = [ONE, ONE, ZERO]
+    e1 = {0: ONE}
+    e2 = {1: ONE}
+    e12 = {0: ONE, 1: ONE}
     reps = linalg.quotient_representatives([e1, e2, e12], [e1])
     assert len(reps) == 1
     assert reps[0] == e2
     # no boundaries: representatives span the cocycles
     reps = linalg.quotient_representatives([e1, e12], [])
     assert len(reps) == 2
+
+
+def random_sparse_matrix(rng, rows, cols, density):
+    """A dense matrix whose entries are nonzero with probability density,
+    with some rows replaced by zero rows or by multiples of earlier rows."""
+    matrix = []
+    for _ in range(rows):
+        roll = rng.random()
+        if roll < 0.1:
+            matrix.append([ZERO] * cols)
+        elif roll < 0.25 and matrix:
+            factor = rng.choice((ONE, nonzero_gaussian(rng)))
+            matrix.append([factor * x for x in rng.choice(matrix)])
+        else:
+            matrix.append([nonzero_gaussian(rng) if rng.random() < density
+                           else ZERO for _ in range(cols)])
+    return matrix
+
+
+def full_rank_matrix(rng, n, density):
+    """An n x n unit upper-triangular matrix with sparse entries above the
+    diagonal, rows shuffled."""
+    matrix = [[ONE if i == j else
+               nonzero_gaussian(rng) if j > i and rng.random() < density
+               else ZERO for j in range(n)] for i in range(n)]
+    rng.shuffle(matrix)
+    return matrix
+
+
+def test_sparse_elimination_matches_dense_reference():
+    rng = random.Random(23)
+    cases = [([], 0), ([], 4), ([[]], 0), ([[], []], 0)]
+    for _ in range(120):
+        density = rng.choice((0.05, 0.1, 0.2, 0.3))
+        cols = rng.randint(1, 12)
+        cases.append((random_sparse_matrix(rng, rng.randint(1, 10), cols,
+                                           density), cols))
+    for n in (1, 5, 9):
+        cases.append((full_rank_matrix(rng, n, 0.3), n))
+    for matrix, n in cases:
+        basis = linalg.nullspace([sparse(row) for row in matrix], n)
+        assert [dense(v, n) for v in basis] == reference_nullspace(matrix, n)
+        assert all(all(v.values()) for v in basis)  # no stored zeros
+
+        boundaries = random_sparse_matrix(rng, rng.randint(0, 6), n, 0.3)
+        cocycles = reference_nullspace(matrix, n)
+        cocycles += [[a + b for a, b in zip(x, y)]
+                     for x, y in zip(cocycles, boundaries)]
+        reps = linalg.quotient_representatives(
+            [sparse(z) for z in cocycles], [sparse(b) for b in boundaries]
+        )
+        assert [dense(r, n) for r in reps] == reference_quotient_representatives(
+            cocycles, boundaries
+        )
