@@ -409,13 +409,16 @@ def _normalize_slot(theory, slot):
     if theory not in THEORIES:
         raise ValueError(f"unknown theory {theory!r}; expected one of {THEORIES}")
     if theory == DE_RHAM:
-        if isinstance(slot, bool) or not isinstance(slot, int):
+        if not _is_int(slot):
             raise ValueError(
                 f"de Rham cohomology takes an integer degree k, got {slot!r}")
         return theory, slot
-    try:
-        p, q = slot
-    except (TypeError, ValueError):
-        raise ValueError(f"{theory} cohomology takes a bidegree pair (p, q), "
-                         f"got {slot!r}") from None
-    return theory, (int(p), int(q))
+    if not (isinstance(slot, (tuple, list)) and len(slot) == 2
+            and all(map(_is_int, slot))):
+        raise ValueError(f"{theory} cohomology takes a bidegree pair (p, q) "
+                         f"of integers, got {slot!r}")
+    return theory, tuple(slot)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)

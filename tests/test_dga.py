@@ -575,14 +575,16 @@ def test_tables_never_reach_dense_elimination(monkeypatch):
                      "quotient_representatives": len(reports)}
 
 
-def test_de_rham_rejects_bool_degree():
+@pytest.mark.parametrize("degree", [True, 2.0, "2"])
+def test_de_rham_rejects_non_integer_degree(degree):
     with pytest.raises(ValueError, match="integer degree"):
-        kodaira().cohomology(DE_RHAM, True)
+        kodaira().cohomology(DE_RHAM, degree)
 
 
-def test_bigraded_theory_rejects_bare_degree():
+@pytest.mark.parametrize("slot", [1, "11", (True, 1), (1, 1.5), (1, 1, 0)])
+def test_bigraded_theory_rejects_malformed_bidegree(slot):
     with pytest.raises(ValueError, match=r"bidegree pair \(p, q\)"):
-        kodaira().cohomology(DOLBEAULT, 1)
+        kodaira().cohomology(DOLBEAULT, slot)
 
 
 # -- parameter handling --------------------------------------------------------------
