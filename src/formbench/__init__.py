@@ -45,7 +45,7 @@ from .errors import (
 )
 from .exterior import Coframe, Form, Generator
 from .expressions import parse_form, parse_scalar
-from .grass import PlueckerCurve, embedding_degree, pluecker_curve
+from .grass import PlueckerCurve, pluecker_curve
 from .models import (
     kodaira,
     kodaira_sigma,
@@ -67,7 +67,6 @@ from .scenarios import (
     ScenarioReport,
     Step,
     list_scenarios,
-    register_scenario,
     run_scenario,
 )
 
@@ -85,11 +84,10 @@ __all__ = [
     "ModelMismatch", "NotClosed", "OddSize", "ParseError", "UnknownScenario",
     "UnknownVariable", "UnspecializedParameters", "UnsupportedBasis",
     "Coframe", "Form", "Generator", "parse_form", "parse_scalar",
-    "PlueckerCurve", "embedding_degree", "pluecker_curve",
+    "PlueckerCurve", "pluecker_curve",
     "kodaira", "kodaira_sigma", "load_model", "model_to_dict", "nakamura",
     "save_model", "torus", "torus4_deformed",
     "GaussianRational", "PolyScalar", "ScalarFraction", "VariableTable",
     "substitute_fraction",
-    "ScenarioReport", "Step", "list_scenarios", "register_scenario",
-    "run_scenario",
+    "ScenarioReport", "Step", "list_scenarios", "run_scenario",
 ]

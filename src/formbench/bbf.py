@@ -216,9 +216,6 @@ class GramMatrix:
     basis: tuple
     entries: tuple
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
     @property
     def size(self):
         return len(self.entries)

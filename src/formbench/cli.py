@@ -24,16 +24,20 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list the built-in scenarios")
+    sub.add_parser("list", help="list the built-in scenarios").set_defaults(
+        handler=_cmd_list
+    )
 
     run = sub.add_parser("run", help="run one scenario with exact comparisons")
     run.add_argument("id")
     run.add_argument("--json", action="store_true", help="machine-readable report")
+    run.set_defaults(handler=_cmd_run)
 
     model = sub.add_parser("model", help="model file utilities")
     actions = model.add_subparsers(dest="action", required=True)
     check = actions.add_parser("check", help="parse and validate a model file")
     check.add_argument("path")
+    check.set_defaults(handler=_cmd_model_check)
 
     bbf_cmd = sub.add_parser("bbf", help="quadratic-form computations")
     bbf_actions = bbf_cmd.add_subparsers(dest="action", required=True)
@@ -46,6 +50,7 @@ def _build_parser():
         "--normalized", action="store_true",
         help="substitute V -> 1/(mu*mub) into the entries",
     )
+    gram.set_defaults(handler=_cmd_bbf_gram)
 
     coh = sub.add_parser("cohomology", help="dimension and basis of one group")
     coh.add_argument("path")
@@ -54,15 +59,17 @@ def _build_parser():
         "--degree", required=True,
         help="an integer for de_rham, 'p,q' for the bigraded theories",
     )
+    coh.set_defaults(handler=_cmd_cohomology)
 
     grass = sub.add_parser(
         "grass-degree", help="degree table of the bivector embedding up to n"
     )
     grass.add_argument("--n", type=int, required=True)
+    grass.set_defaults(handler=_cmd_grass)
     return parser
 
 
-def _cmd_list():
+def _cmd_list(args):
     for name, description in list_scenarios():
         print(f"{name:18} {description}")
     return 0
@@ -162,23 +169,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list()
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "model":
-            return _cmd_model_check(args)
-        if args.command == "bbf":
-            return _cmd_bbf_gram(args)
-        if args.command == "cohomology":
-            return _cmd_cohomology(args)
-        if args.command == "grass-degree":
-            return _cmd_grass(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (ValueError, UnknownVariable, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

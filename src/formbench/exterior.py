@@ -2,11 +2,11 @@
 generators: wedge products, powers, conjugation, bidegree decomposition and
 top-degree integration.
 
-Monomials are kept in a fixed canonical order: all (1,0) generators by index,
-then all (0,1) generators by index.  Every sign in the package is normalized
-to this order, which keeps rendered output and golden comparisons
-deterministic.  Forms and coframes are immutable and all operations are pure,
-so values can be shared freely across threads.
+Monomials are kept in a fixed canonical order: all (1,0) generators in the
+order listed, then all (0,1) generators in the order listed.  Every sign in
+the package is normalized to this order, which keeps rendered output and
+golden comparisons deterministic.  Forms and coframes are immutable and all
+operations are pure, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -20,15 +20,10 @@ from .scalars import binary_power
 
 @dataclass(frozen=True)
 class Generator:
-    """A degree-one generator of type (1,0) or (0,1).
-
-    ``index`` is the 1-based ordinal within the generator's bidegree class;
-    sign tables for Gram entries are stated in terms of these ordinals.
-    """
+    """A degree-one generator of type (1,0) or (0,1)."""
 
     name: str
     bidegree: tuple
-    index: int
 
     @property
     def holomorphic(self):
@@ -93,13 +88,8 @@ class Coframe:
         for pos, gen in enumerate(generators):
             if gen.bidegree not in ((1, 0), (0, 1)):
                 raise ValueError(f"{gen.name}: bidegree must be (1,0) or (0,1)")
-            expected = pos + 1 if gen.holomorphic else pos - n_holo + 1
             if not gen.holomorphic and pos < n_holo:
                 raise ValueError("generators must list all (1,0) before (0,1)")
-            if gen.index != expected:
-                raise ValueError(
-                    f"{gen.name}: expected ordinal {expected}, got {gen.index}"
-                )
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
@@ -190,14 +180,11 @@ class Form:
     def __bool__(self):
         return bool(self.terms)
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return self.coframe is other.coframe and self.terms == other.terms
+        self._check(other)
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -267,14 +254,11 @@ class Form:
 
     # -- grading ---------------------------------------------------------------
 
-    def bidegrees(self):
-        return sorted({self.coframe.monomial_bidegree(m) for m in self.terms})
-
     def bidegree(self):
         """The (p,q) of a homogeneous form, None for zero or mixed forms."""
-        degrees = self.bidegrees()
+        degrees = {self.coframe.monomial_bidegree(m) for m in self.terms}
         if len(degrees) == 1:
-            return degrees[0]
+            return degrees.pop()
         return None
 
     def total_degree(self):

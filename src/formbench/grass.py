@@ -48,12 +48,9 @@ class PlueckerCurve:
             raise ValueError(f"coordinates are not equi-homogeneous: {degrees}")
         return degrees[0]
 
-    def distinguished_coordinate(self):
-        return self.coordinates.get(self.distinguished)
-
     def alpha_vanishing_order(self):
         """Order of vanishing of the distinguished coordinate at a = 0."""
-        poly = self.distinguished_coordinate()
+        poly = self.coordinates.get(self.distinguished)
         if poly is None or not poly:
             raise ValueError("the distinguished coordinate vanishes identically")
         index = poly.table.index("a")
@@ -67,9 +64,7 @@ def pluecker_curve(n):
         raise ValueError("n must be at least 2")
     pairs = list(combinations(range(1, 2 * n + 1), 2))
     table = VariableTable([("a", "a"), ("b", "b")])
-    generators = [
-        Generator(f"y{i}_{j}", (1, 0), k + 1) for k, (i, j) in enumerate(pairs)
-    ]
+    generators = [Generator(f"y{i}_{j}", (1, 0)) for i, j in pairs]
     coframe = Coframe(generators, table)
     alpha = table.variable("a")
     beta = table.variable("b")
@@ -123,9 +118,3 @@ def _remove_content(coordinates, table):
         }
         reduced[key] = PolyScalar(table, terms)
     return reduced
-
-
-def embedding_degree(n):
-    """The common degree of the reduced coordinates, which the Schubert-line
-    determinant argument pins to n - 1."""
-    return pluecker_curve(n).degree()

@@ -118,7 +118,8 @@ def solve(matrix, rhs):
 
 
 def determinant(matrix):
-    """Determinant by fraction-free-ish elimination over Q(i)."""
+    """Determinant by Gaussian elimination over Q(i), dividing by each
+    pivot; tests use it as an independent oracle (Pf(A)^2 = det(A))."""
     n = len(matrix)
     rows = [list(r) for r in matrix]
     det = ONE

@@ -33,8 +33,8 @@ def torus(dim, parameters=()):
     if dim < 1:
         raise ValueError("dimension must be positive")
     table = VariableTable(_variable_declarations(parameters))
-    holo = [Generator(f"x{i}", (1, 0), i) for i in range(1, dim + 1)]
-    anti = [Generator(f"xb{i}", (0, 1), i) for i in range(1, dim + 1)]
+    holo = [Generator(f"x{i}", (1, 0)) for i in range(1, dim + 1)]
+    anti = [Generator(f"xb{i}", (0, 1)) for i in range(1, dim + 1)]
     coframe = Coframe(
         holo + anti,
         table,
@@ -50,10 +50,10 @@ def kodaira():
     table = VariableTable([("V", "V"), ("mu", "mub")])
     coframe = Coframe(
         [
-            Generator("w1", (1, 0), 1),
-            Generator("w2", (1, 0), 2),
-            Generator("wb1", (0, 1), 1),
-            Generator("wb2", (0, 1), 2),
+            Generator("w1", (1, 0)),
+            Generator("w2", (1, 0)),
+            Generator("wb1", (0, 1)),
+            Generator("wb2", (0, 1)),
         ],
         table,
         conjugates={"w1": "wb1", "w2": "wb2"},
@@ -92,8 +92,8 @@ def nakamura(t):
     a = GaussianRational(1 / (1 - norm))
     at = a * t
     table = VariableTable([("V", "V")])
-    holo = [Generator(f"phi{i}", (1, 0), i) for i in range(1, 5)]
-    anti = [Generator(f"om{i}", (0, 1), i) for i in range(1, 5)]
+    holo = [Generator(f"phi{i}", (1, 0)) for i in range(1, 5)]
+    anti = [Generator(f"om{i}", (0, 1)) for i in range(1, 5)]
     coframe = Coframe(
         holo + anti, table, conjugates=None,
         volume=[g.name for g in holo + anti],
@@ -159,7 +159,6 @@ def model_from_dict(document):
 
     generators = []
     pairing = {}
-    counters = {(1, 0): 0, (0, 1): 0}
     records = document.get("generators", [])
     if not records:
         raise ParseError("at least one generator is required", field="generators")
@@ -175,8 +174,7 @@ def model_from_dict(document):
             raise ParseError(
                 f"{name}: bidegree must be [1,0] or [0,1]", field="generators"
             )
-        counters[bidegree] += 1
-        generators.append(Generator(name, bidegree, counters[bidegree]))
+        generators.append(Generator(name, bidegree))
         mate = record.get("conjugate")
         if mate is not None:
             for a, b in ((name, mate), (mate, name)):

@@ -329,11 +329,10 @@ class PolyScalar:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = self.table.constant(other)
-        if not isinstance(other, PolyScalar):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -357,17 +356,6 @@ class PolyScalar:
                 if k:
                     used.add(self.table.names[i])
         return used
-
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name):
-        i = self.table.index(name)
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
 
     def coefficients_in(self, name):
         """Split into {power: coefficient polynomial} with respect to one
@@ -613,12 +601,6 @@ class ScalarFraction:
         return ScalarFraction(
             self.numerator * other.denominator, self.denominator * other.numerator
         )
-
-    def substitute(self, assignment):
-        den = self.denominator.substitute(assignment)
-        if not den:
-            raise ZeroDivisionError("denominator vanishes under substitution")
-        return ScalarFraction(self.numerator.substitute(assignment), den)
 
     def __str__(self):
         if self.denominator == self.table.one():

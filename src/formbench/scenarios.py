@@ -105,7 +105,7 @@ def _scenario_torus2_gram():
     )
     signs = {(0, 5): 1, (1, 4): -1, (2, 3): 1, (3, 2): 1, (4, 1): -1, (5, 0): 1}
     pattern_ok = all(
-        closed.entry(i, j) == (half * signs[(i, j)] if (i, j) in signs else 0)
+        closed.entries[i][j] == (half * signs[(i, j)] if (i, j) in signs else 0)
         for i in range(6)
         for j in range(6)
     )
@@ -114,9 +114,9 @@ def _scenario_torus2_gram():
              "two independent evaluation routes"),
         Step("6x6 anti-diagonal with entries +-1/(2*mu*mub)",
              pattern_ok, True, "closed-form Gram pattern"),
-        Step("<x1^x2, xb1^xb2>", closed.entry(0, 5), half,
+        Step("<x1^x2, xb1^xb2>", closed.entries[0][5], half,
              "corner entry of the anti-diagonal"),
-        Step("<x1^xb1, x2^xb2>", closed.entry(1, 4), -half,
+        Step("<x1^xb1, x2^xb2>", closed.entries[1][4], -half,
              "inner block entry of the anti-diagonal"),
     ]
 
@@ -145,7 +145,7 @@ def _scenario_torus4_gram():
     closed = bbf.gram_matrix(space, basis, mode="closed_form")
     orth = bbf.check_block_orthogonality(space)
     mu_norm = space.mu.constant_value().norm()
-    y_entry = oracle.entry(6, 11)  # <x1^xb1, x2^xb2>
+    y_entry = oracle.entries[6][11]  # <x1^xb1, x2^xb2>
     expected_y = ScalarFraction(
         model.table.constant(GaussianRational(Fraction(-8) / mu_norm / 2))
     )
@@ -257,7 +257,7 @@ def _scenario_kodaira():
         model.table.one(), space.mu * space.mu.conjugate() * 2
     )
     anti_diagonal = all(
-        gram.entry(i, j) == (half if i + j == 3 else 0)
+        gram.entries[i][j] == (half if i + j == 3 else 0)
         for i in range(4)
         for j in range(4)
     )
@@ -429,16 +429,8 @@ _SCENARIOS = {
 }
 
 
-def register_scenario(scenario_id, description, body):
-    """Add a custom scenario: ``body`` takes no arguments and returns the
-    list of Steps.  Ids must be unique."""
-    if scenario_id in _SCENARIOS:
-        raise ValueError(f"scenario id {scenario_id!r} already registered")
-    _SCENARIOS[scenario_id] = (description, body)
-
-
 def list_scenarios():
-    """Stable (id, description) listing of the registered scenarios."""
+    """Stable (id, description) listing of the built-in scenarios."""
     return [(name, desc) for name, (desc, _) in _SCENARIOS.items()]
 
 

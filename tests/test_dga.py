@@ -38,10 +38,10 @@ I = GaussianRational(0, 1)
 def four_generator_coframe(variables=()):
     table = VariableTable([("V", "V"), *variables])
     gens = [
-        Generator("g1", (1, 0), 1),
-        Generator("g2", (1, 0), 2),
-        Generator("g3", (0, 1), 1),
-        Generator("g4", (0, 1), 2),
+        Generator("g1", (1, 0)),
+        Generator("g2", (1, 0)),
+        Generator("g3", (0, 1)),
+        Generator("g4", (0, 1)),
     ]
     return Coframe(gens, table, volume=["g1", "g2", "g3", "g4"])
 
@@ -103,10 +103,10 @@ def test_operator_examples():
     assert model.delbar(cf.generator_form("w2")) == cf.monomial_form(
         ("w1", "wb1")
     )
-    assert model.del_(cf.generator_form("w2")).is_zero
-    assert model.d(cf.unit(7)).is_zero
+    assert not model.del_(cf.generator_form("w2"))
+    assert not model.d(cf.unit(7))
     family = nakamura(Fraction(1, 2))
-    assert family.model.d(family.sigma).is_zero
+    assert not family.model.d(family.sigma)
 
 
 def test_operator_model_mismatch():
@@ -122,12 +122,12 @@ def test_differential_identities_randomized():
         for _ in range(40):
             f = random_form(rng, model, degree=rng.randint(0, top))
             df = model.d(f)
-            assert model.d(df).is_zero
-            assert model.del_(model.del_(f)).is_zero
-            assert model.delbar(model.delbar(f)).is_zero
+            assert not model.d(df)
+            assert not model.del_(model.del_(f))
+            assert not model.delbar(model.delbar(f))
             assert df == model.del_(f) + model.delbar(f)
             anticommute = model.del_(model.delbar(f)) + model.delbar(model.del_(f))
-            assert anticommute.is_zero
+            assert not anticommute
 
 
 def test_leibniz_randomized():
@@ -197,16 +197,16 @@ def test_representatives_are_cocycles():
         top = len(model.coframe.generators)
         for k in range(top + 1):
             for rep in model.cohomology(DE_RHAM, k).basis:
-                assert model.d(rep).is_zero
+                assert not model.d(rep)
         for p in range(model.coframe.n_holomorphic + 1):
             for q in range(model.coframe.n_antiholomorphic + 1):
                 for rep in model.cohomology(DOLBEAULT, (p, q)).basis:
-                    assert model.delbar(rep).is_zero
+                    assert not model.delbar(rep)
                 for rep in model.cohomology(BOTT_CHERN, (p, q)).basis:
-                    assert model.del_(rep).is_zero
-                    assert model.delbar(rep).is_zero
+                    assert not model.del_(rep)
+                    assert not model.delbar(rep)
                 for rep in model.cohomology(AEPPLI, (p, q)).basis:
-                    assert model.deldelbar(rep).is_zero
+                    assert not model.deldelbar(rep)
 
 
 # -- brute-force oracle for the Kodaira Bott-Chern / Aeppli dimensions -------------
@@ -368,7 +368,7 @@ def test_class_of_kills_coboundaries():
         q = rng.randint(0, 1)
         g = random_form(rng, model, bidegree=(p, q))
         image = model.delbar(g)
-        if image.is_zero:
+        if not image:
             continue
         coords = model.class_of(image, DOLBEAULT, (p, q + 1))
         assert all(not c for c in coords)
@@ -493,8 +493,8 @@ def bench_shape_nilpotent(rng):
     """A nilpotent model of the benchmark's document shape: z1..z3 closed,
     dz4 a seeded combination of two (2,0) or (1,1) monomials of z1..z3, and
     the conjugate equation for zb4."""
-    holo = [Generator(f"z{i}", (1, 0), i) for i in range(1, 5)]
-    anti = [Generator(f"zb{i}", (0, 1), i) for i in range(1, 5)]
+    holo = [Generator(f"z{i}", (1, 0)) for i in range(1, 5)]
+    anti = [Generator(f"zb{i}", (0, 1)) for i in range(1, 5)]
     cf = Coframe(holo + anti, VariableTable([("V", "V")]),
                  conjugates={f"z{i}": f"zb{i}" for i in range(1, 5)},
                  volume=[g.name for g in holo + anti])
@@ -616,7 +616,7 @@ def test_unspecialized_parameters_rejected():
 def test_parameterized_wedge_calculus_still_works():
     model = parameterized_model()
     g1 = model.coframe.generator_form("g1")
-    assert model.d(model.d(g1)).is_zero
+    assert not model.d(model.d(g1))
 
 
 def test_memoized_reports_are_stable():

@@ -31,7 +31,7 @@ def test_wedge_examples():
     model = torus(4)
     cf = model.coframe
     x = cf.generator_form
-    assert (x("x1") * x("x1")).is_zero
+    assert not (x("x1") * x("x1"))
     assert x("x2") * x("x1") == -(x("x1") * x("x2"))
     sigma = cf.form({("x1", "x2"): 1, ("x3", "x4"): 1})
     assert sigma * sigma == cf.monomial_form(("x1", "x2", "x3", "x4"), 2)
@@ -44,7 +44,7 @@ def test_power_examples():
     assert sigma.power(2) == cf.monomial_form(("x1", "x2", "x3", "x4"), 2)
     f = random_form(random.Random(3), model, degree=2)
     assert f.power(0) == cf.unit()
-    assert cf.monomial_form(("x1", "xb1")).power(2).is_zero
+    assert not cf.monomial_form(("x1", "xb1")).power(2)
     with pytest.raises(ValueError):
         f.power(-1)
 
@@ -107,7 +107,7 @@ def test_bidegree_components():
     cf = model.coframe
     f = cf.form({("x1", "x2"): 1, ("x1", "xb1"): 1})
     assert f.component(1, 1) == cf.monomial_form(("x1", "xb1"))
-    assert f.component(0, 2).is_zero
+    assert not f.component(0, 2)
     assert f.bidegree() is None
     assert f.total_degree() == 2
     rng = random.Random(19)
@@ -191,17 +191,17 @@ def test_coframe_validation_errors():
     table = VariableTable([("V", "V")])
     with pytest.raises(ValueError, match="before"):
         Coframe(
-            [Generator("a", (0, 1), 1), Generator("b", (1, 0), 1)], table
+            [Generator("a", (0, 1)), Generator("b", (1, 0))], table
         )
     with pytest.raises(ValueError, match="unique"):
         Coframe(
-            [Generator("a", (1, 0), 1), Generator("a", (1, 0), 2)], table
+            [Generator("a", (1, 0)), Generator("a", (1, 0))], table
         )
     with pytest.raises(ValueError, match="shared"):
-        Coframe([Generator("V", (1, 0), 1)], table)
+        Coframe([Generator("V", (1, 0))], table)
     with pytest.raises(ValueError, match="every generator"):
         Coframe(
-            [Generator("a", (1, 0), 1), Generator("ab", (0, 1), 1)],
+            [Generator("a", (1, 0)), Generator("ab", (0, 1))],
             table,
             volume=["a"],
         )
@@ -212,6 +212,6 @@ def test_integrate_requires_volume():
     from formbench.scalars import VariableTable
 
     table = VariableTable([])
-    cf = Coframe([Generator("a", (1, 0), 1)], table)
+    cf = Coframe([Generator("a", (1, 0))], table)
     with pytest.raises(ValueError, match="volume"):
         cf.generator_form("a").integrate()

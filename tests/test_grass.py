@@ -3,14 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from formbench.grass import embedding_degree, pluecker_curve
+from formbench.grass import pluecker_curve
 from formbench.linalg import determinant_ring
 from formbench.scalars import VariableTable
 
 
 def test_embedding_degrees():
     for n in range(2, 6):
-        assert embedding_degree(n) == n - 1
+        assert pluecker_curve(n).degree() == n - 1
 
 
 def test_coordinates_equi_homogeneous_and_nonzero():
@@ -23,7 +23,7 @@ def test_coordinates_equi_homogeneous_and_nonzero():
 def test_distinguished_coordinate_is_unit_alpha_power():
     for n in range(2, 6):
         curve = pluecker_curve(n)
-        poly = curve.distinguished_coordinate()
+        poly = curve.coordinates.get(curve.distinguished)
         assert poly is not None and len(poly.terms) == 1
         (exps, coeff), = poly.terms.items()
         table = poly.table

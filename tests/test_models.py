@@ -26,7 +26,7 @@ def test_torus_builder():
     cf = model.coframe
     assert len(cf.generators) == 4
     assert cf.n_holomorphic == 2
-    assert all(model.differential_of(g.name).is_zero for g in cf.generators)
+    assert not any(model.differential_of(g.name) for g in cf.generators)
     assert cf.volume_monomial == (0, 1, 2, 3)
     assert torus(3).coframe.n_holomorphic == 3
     with pytest.raises(ValueError):
@@ -39,7 +39,7 @@ def test_kodaira_builder():
     assert model.differential_of("w2") == cf.monomial_form(("w1", "wb1"))
     assert model.differential_of("wb2") == -cf.monomial_form(("w1", "wb1"))
     sigma = kodaira_sigma(model)
-    assert model.d(sigma).is_zero
+    assert not model.d(sigma)
     assert sigma.bidegree() == (2, 0)
 
 
@@ -50,11 +50,11 @@ def test_nakamura_builder():
     cf = model.coframe
     expected = cf.form({("phi1", "phi2"): -a, ("phi2", "om1"): a * Fraction(1, 2)})
     assert model.differential_of("phi2") == expected
-    assert model.d(sigma).is_zero
-    assert not sigma.power(2).is_zero
+    assert not model.d(sigma)
+    assert sigma.power(2)
     # exact Gaussian-rational parameters stay exact
     complex_family = nakamura(GaussianRational(Fraction(1, 3), Fraction(1, 3)))
-    assert complex_family.model.d(complex_family.sigma).is_zero
+    assert not complex_family.model.d(complex_family.sigma)
     with pytest.raises(ValueError):
         nakamura(1)
     with pytest.raises(ValueError):
@@ -74,7 +74,7 @@ def test_torus4_deformed_expansion():
     assert st.terms[(cf.position["x2"], cf.position["xb3"])] == -t1
     assert st.terms[(cf.position["xb1"], cf.position["xb2"])] == t1 * t2
     assert st.substitute({f"t{i}": 0 for i in range(1, 5)}) == family.sigma
-    assert family.model.d(st).is_zero
+    assert not family.model.d(st)
 
 
 def test_model_file_roundtrip(tmp_path):
@@ -101,8 +101,8 @@ def test_load_model_example(tmp_path):
     path.write_text(json.dumps(document))
     model = load_model(path)
     assert len(model.coframe.generators) == 4
-    assert all(
-        model.differential_of(g.name).is_zero for g in model.coframe.generators
+    assert not any(
+        model.differential_of(g.name) for g in model.coframe.generators
     )
 
 

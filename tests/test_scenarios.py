@@ -5,7 +5,7 @@ import pytest
 import formbench.scenarios as scenarios
 from formbench.cli import main
 from formbench.errors import UnknownScenario
-from formbench.models import kodaira, model_to_dict, save_model
+from formbench.models import kodaira, model_to_dict, save_model, torus
 from formbench.scalars import GaussianRational, ScalarFraction, VariableTable
 from formbench.scenarios import Step, list_scenarios, run_scenario
 
@@ -191,40 +191,34 @@ def test_cli_grass_degree(capsys):
     assert main(["grass-degree", "--n", "1"]) == 1
 
 
-def test_register_scenario(monkeypatch):
-    monkeypatch.setattr(scenarios, "_SCENARIOS", dict(scenarios._SCENARIOS))
-    scenarios.register_scenario(
-        "custom", "a custom check", lambda: [Step("one", 1, 1)]
-    )
-    assert ("custom", "a custom check") in list_scenarios()
-    assert run_scenario("custom").passed
-    with pytest.raises(ValueError):
-        scenarios.register_scenario("custom", "again", lambda: [])
-
-
 def test_step_comparison_error_is_reported_with_its_cause(monkeypatch, capsys):
-    # fractions over two different tables cannot be compared; that is an
-    # error of the scenario, not a failed step
+    # values over two different tables or coframes cannot be compared; that
+    # is an error of the scenario, not a failed step
     first = VariableTable([("V", "V")])
     second = VariableTable([("V", "V"), ("t", "tb")])
+    tables = "ValueError: scalars over different variable tables (at scalars.py:"
+    cases = [
+        (ScalarFraction(first.variable("V")),
+         ScalarFraction(second.variable("V")), tables),
+        (first.variable("V"), second.variable("V"), tables),
+        (torus(1).coframe.unit(), torus(1).coframe.unit(),
+         "ModelMismatch: forms over different coframes (at exterior.py:"),
+    ]
+    for computed, expected, cause in cases:
+        def fake(computed=computed, expected=expected):
+            return [
+                Step("same operand", computed, computed),
+                Step("two operands", computed, expected),
+            ]
 
-    def fake():
-        return [
-            Step("same table", ScalarFraction(first.variable("V")),
-                 ScalarFraction(first.variable("V"))),
-            Step("two tables", ScalarFraction(first.variable("V")),
-                 ScalarFraction(second.variable("V"))),
-        ]
-
-    monkeypatch.setitem(
-        scenarios._SCENARIOS, "fake", ("incomparable values", fake)
-    )
-    report = run_scenario("fake")
-    assert not report.passed
-    assert report.error.startswith("ValueError: ")
-    assert "different variable table" in report.error
-    assert report.error.endswith(")") and " (at scalars.py:" in report.error
-    assert main(["run", "fake", "--json"]) == 70
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["error"] == report.error
-    assert report.error in captured.err
+        monkeypatch.setitem(
+            scenarios._SCENARIOS, "fake", ("incomparable values", fake)
+        )
+        report = run_scenario("fake")
+        assert not report.passed
+        assert report.error.startswith(cause), report.error
+        assert report.error.endswith(")")
+        assert main(["run", "fake", "--json"]) == 70
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"] == report.error
+        assert report.error in captured.err
