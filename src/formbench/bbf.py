@@ -221,13 +221,7 @@ class GramMatrix:
         return len(self.entries)
 
     def matches(self, other):
-        if self.size != other.size:
-            return False
-        return all(
-            self.entries[i][j] == other.entries[i][j]
-            for i in range(self.size)
-            for j in range(self.size)
-        )
+        return self.size == other.size and not gram_discrepancies(self, other)
 
     def is_symmetric(self):
         return all(

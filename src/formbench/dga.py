@@ -113,6 +113,7 @@ class StructureModel:
         self._d_cache = {}
         self._reports = {}
         self._zero = coframe.zero_form()
+        self._one = coframe.table.one()
         self.validate()
 
     def __repr__(self):
@@ -131,18 +132,15 @@ class StructureModel:
         cached = self._d_cache.get(monomial)
         if cached is not None:
             return cached
-        cf = self.coframe
         total = self._zero
-        one = cf.table.one()
         for i, pos in enumerate(monomial):
             dg = self._differentials.get(pos)
             if dg is None:
                 continue
-            piece = Form(cf, {monomial[:i]: one}).wedge(dg)
-            piece = piece.wedge(Form(cf, {monomial[i + 1:]: one}))
-            if i % 2:
-                piece = -piece
-            total = total + piece
+            # d(x_i) has degree two, so it commutes past x_0 ... x_(i-1)
+            rest = monomial[:i] + monomial[i + 1:]
+            piece = dg.wedge(Form(self.coframe, {rest: self._one}))
+            total = total + (-piece if i % 2 else piece)
         self._d_cache[monomial] = total
         return total
 
@@ -150,30 +148,30 @@ class StructureModel:
         if form.coframe is not self.coframe:
             raise ModelMismatch("form belongs to a different model")
 
-    def d(self, form):
-        """Graded Leibniz extension of the generator differentials."""
+    def _leibniz(self, form, step=None):
+        """d of form by the graded Leibniz rule or, given a bidegree step
+        (dp, dq), the part of d that raises the bidegree by it."""
         self._check_form(form)
         out = self._zero
         for mon, coeff in form.terms.items():
-            out = out + self._d_monomial(mon).scaled(coeff)
+            image = self._d_monomial(mon)
+            if step is not None:
+                p, q = self.coframe.monomial_bidegree(mon)
+                image = image.component(p + step[0], q + step[1])
+            out = out + (image if coeff == self._one else image.scaled(coeff))
         return out
 
-    def _d_part(self, form, dp, dq):
-        """The part of d that raises the bidegree by (dp, dq)."""
-        self._check_form(form)
-        out = self._zero
-        for mon, coeff in form.terms.items():
-            p, q = self.coframe.monomial_bidegree(mon)
-            out = out + self._d_monomial(mon).component(p + dp, q + dq).scaled(coeff)
-        return out
+    def d(self, form):
+        """Graded Leibniz extension of the generator differentials."""
+        return self._leibniz(form)
 
     def del_(self, form):
         """The (1,0) part of d (raises p by one)."""
-        return self._d_part(form, 1, 0)
+        return self._leibniz(form, (1, 0))
 
     def delbar(self, form):
         """The (0,1) part of d (raises q by one)."""
-        return self._d_part(form, 0, 1)
+        return self._leibniz(form, (0, 1))
 
     def deldelbar(self, form):
         return self.del_(self.delbar(form))
@@ -196,16 +194,11 @@ class StructureModel:
             if dg is None:
                 diagnostics.append(f"d({gen.name}) = 0")
                 continue
-            degrees = {len(m) for m in dg.terms}
-            if degrees - {2}:
+            if dg.total_degree() != 2:
                 violations.append((gen.name, dg))
                 continue
             p, q = gen.bidegree
-            allowed = {(p + 1, q), (p, q + 1)}
-            stray = self._zero
-            for mon, coeff in dg.terms.items():
-                if cf.monomial_bidegree(mon) not in allowed:
-                    stray = stray + Form(cf, {mon: coeff})
+            stray = dg - dg.component(p + 1, q) - dg.component(p, q + 1)
             if stray:
                 violations.append((gen.name, stray))
                 continue
@@ -279,10 +272,9 @@ class StructureModel:
         """The image of each source monomial under op as a sparse
         {target index: value} vector."""
         index = {m: i for i, m in enumerate(targets)}
-        one = self.table.one()
         return [
             {index[m]: self._constant(coeff)
-             for m, coeff in op(Form(self.coframe, {mon: one})).terms.items()}
+             for m, coeff in op(Form(self.coframe, {mon: self._one})).terms.items()}
             for mon in sources
         ]
 

@@ -92,7 +92,7 @@ class _Parser:
             else:
                 break
         if negate:
-            value = -value if not isinstance(value, Form) else value.scaled(-1)
+            value = -value
         return value
 
     # products ----------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelMismatch, UnknownVariable
-from .scalars import binary_power
+from .scalars import binary_power, conjugate_pairing, join_terms
 
 
 @dataclass(frozen=True)
@@ -35,17 +35,13 @@ def sort_with_sign(positions):
 
     Returns (sign, tuple) with sign 0 when a generator repeats.
     """
-    items = list(positions)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and items[j - 1] == items[j]:
+    sign, monomial = 1, ()
+    for pos in positions:
+        step, monomial = merge_monomials(monomial, (pos,))
+        if not step:
             return 0, None
-    return sign, tuple(items)
+        sign *= step
+    return sign, monomial
 
 
 def merge_monomials(left, right):
@@ -80,6 +76,10 @@ class Coframe:
     """An ordered family of degree-one generators with bidegrees, an optional
     conjugation pairing, a scalar variable table and an optional volume
     monomial (spanning the top exterior power).
+
+    ``conjugates`` maps generator names to their mates; it must pair (1,0)
+    with (0,1) generators as an involution, each pair listed in one or both
+    directions.
     """
 
     def __init__(self, generators, table, conjugates=None, volume=None):
@@ -101,13 +101,16 @@ class Coframe:
         self.n_holomorphic = n_holo
         self.n_antiholomorphic = len(generators) - n_holo
         self.position = {g.name: i for i, g in enumerate(generators)}
+        mates = conjugate_pairing((conjugates or {}).items())
+        unknown = sorted(mates.keys() - self.position.keys())
+        if unknown:
+            raise ValueError(f"unknown conjugate {unknown[0]!r}")
         conj = [None] * len(generators)
-        if conjugates:
-            for name, mate in conjugates.items():
-                i, j = self.position[name], self.position[mate]
-                if generators[i].bidegree == generators[j].bidegree:
-                    raise ValueError(f"{name} and {mate} have the same type")
-                conj[i], conj[j] = j, i
+        for name, mate in mates.items():
+            i, j = self.position[name], self.position[mate]
+            if generators[i].bidegree == generators[j].bidegree:
+                raise ValueError(f"{name} and {mate} have the same type")
+            conj[i] = j
         self.conjugate_position = tuple(conj)
         if volume is None:
             self.volume_monomial = None
@@ -330,8 +333,6 @@ class Form:
         return f"{text}*"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         names = [g.name for g in self.coframe.generators]
         pieces = []
         for mon, coeff in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0])):
@@ -340,13 +341,7 @@ class Form:
                 pieces.append(str(coeff) if len(coeff.terms) == 1 else f"({coeff})")
                 continue
             pieces.append(f"{self._coefficient_text(coeff)}{body}")
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += f" - {piece[1:]}"
-            else:
-                out += f" + {piece}"
-        return out
+        return join_terms(pieces)
 
     def __repr__(self):
         return f"<Form {self}>"

@@ -17,22 +17,12 @@ from .expressions import parse_scalar
 from .scalars import GaussianRational, VariableTable
 
 
-def _variable_declarations(parameters):
-    decls = [("V", "V")]
-    for item in parameters:
-        if isinstance(item, str):
-            decls.append((item, item))
-        else:
-            decls.append(tuple(item))
-    return decls
-
-
 def torus(dim, parameters=()):
     """The invariant-form model of a complex torus of dimension ``dim``:
     generators x1..x{dim} and their conjugates, zero differential."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    table = VariableTable(_variable_declarations(parameters))
+    table = VariableTable([("V", "V"), *parameters])
     holo = [Generator(f"x{i}", (1, 0)) for i in range(1, dim + 1)]
     anti = [Generator(f"xb{i}", (0, 1)) for i in range(1, dim + 1)]
     coframe = Coframe(
@@ -143,22 +133,19 @@ def model_from_dict(document):
     if not isinstance(document, dict):
         raise ParseError("model document must be a JSON object")
     try:
-        variables = [
+        declarations = [
             (record["name"], record.get("conjugate"))
             for record in document.get("variables", [])
         ]
     except (TypeError, KeyError) as exc:
         raise ParseError("each variable needs a name", field="variables") from exc
-    declarations = [
-        (name, conj) if conj is not None else name for name, conj in variables
-    ]
     try:
         table = VariableTable(declarations)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(str(exc), field="variables") from exc
 
     generators = []
-    pairing = {}
+    mates = []
     records = document.get("generators", [])
     if not records:
         raise ParseError("at least one generator is required", field="generators")
@@ -170,27 +157,13 @@ def model_from_dict(document):
             raise ParseError(
                 "generator records need name and bidegree", field="generators"
             ) from exc
-        if bidegree not in ((1, 0), (0, 1)):
-            raise ParseError(
-                f"{name}: bidegree must be [1,0] or [0,1]", field="generators"
-            )
         generators.append(Generator(name, bidegree))
-        mate = record.get("conjugate")
-        if mate is not None:
-            for a, b in ((name, mate), (mate, name)):
-                if pairing.setdefault(a, b) != b:
-                    raise ParseError(
-                        f"inconsistent conjugate pairing at {a}",
-                        field="generators",
-                    )
-    names = {g.name for g in generators}
-    for name, mate in pairing.items():
-        if mate not in names:
-            raise ParseError(f"unknown conjugate {mate!r}", field="generators")
+        mates.append((name, record.get("conjugate")))
     volume = document.get("volume")
     try:
-        coframe = Coframe(generators, table, conjugates=pairing, volume=volume)
-    except (ValueError, KeyError) as exc:
+        conjugates = {name: mate for name, mate in mates if mate is not None}
+        coframe = Coframe(generators, table, conjugates=conjugates, volume=volume)
+    except (TypeError, ValueError, KeyError) as exc:
         raise ParseError(str(exc)) from exc
 
     differentials = {}

@@ -152,6 +152,18 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 
 
+def conjugate_pairing(pairs):
+    """The symmetric {name: mate} map of an involution given as (a, b) pairs,
+    each listed in one or both directions; a name with two mates raises
+    ValueError."""
+    mates = {}
+    for a, b in pairs:
+        for name, mate in ((a, b), (b, a)):
+            if mates.setdefault(name, mate) != mate:
+                raise ValueError(f"inconsistent conjugate pairing at {name}")
+    return mates
+
+
 class VariableTable:
     """The declared formal parameters of a model and their conjugation pairing.
 
@@ -164,24 +176,12 @@ class VariableTable:
     __slots__ = ("names", "_index", "_conj", "_conj_index")
 
     def __init__(self, declarations=()):
-        names = []
-        conj = {}
-        for decl in declarations:
-            if isinstance(decl, str):
-                name, mate = decl, None
-            else:
-                name, mate = decl
-            for n in (name, mate):
-                if n is not None and n not in names:
-                    if n == "i":
-                        raise ValueError("'i' is reserved for the imaginary unit")
-                    names.append(n)
-            if mate is not None:
-                if conj.get(name, mate) != mate or conj.get(mate, name) != name:
-                    raise ValueError(f"inconsistent conjugate declaration for {name}")
-                conj[name] = mate
-                conj[mate] = name
-        self.names = tuple(names)
+        pairs = [(decl, None) if isinstance(decl, str) else decl
+                 for decl in declarations]
+        self.names = tuple(dict.fromkeys(n for p in pairs for n in p if n is not None))
+        if "i" in self.names:
+            raise ValueError("'i' is reserved for the imaginary unit")
+        conj = conjugate_pairing((a, b) for a, b in pairs if b is not None)
         self._index = {n: i for i, n in enumerate(self.names)}
         self._conj = conj
         self._conj_index = tuple(
@@ -447,8 +447,6 @@ class PolyScalar:
         return "*".join(parts)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         rendered = []
         for e, c in self._sorted_terms():
             mon = self._monomial_text(e)
@@ -462,16 +460,21 @@ class PolyScalar:
                 rendered.append(f"({c})*{mon}")
             else:
                 rendered.append(f"{c}*{mon}")
-        out = rendered[0]
-        for piece in rendered[1:]:
-            if piece.startswith("-"):
-                out += f" - {piece[1:]}"
-            else:
-                out += f" + {piece}"
-        return out
+        return join_terms(rendered)
 
     def __repr__(self):
         return f"<PolyScalar {self}>"
+
+
+def join_terms(pieces):
+    """A sum of rendered terms, a leading minus written as " - "; "0" when
+    there are none."""
+    if not pieces:
+        return "0"
+    return pieces[0] + "".join(
+        f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+        for piece in pieces[1:]
+    )
 
 
 def _integer_terms(poly):

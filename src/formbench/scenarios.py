@@ -12,7 +12,7 @@ import json
 import os
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import bbf
@@ -26,16 +26,17 @@ from .scalars import GaussianRational, ScalarFraction, VariableTable
 @dataclass(frozen=True)
 class Step:
     """One named quantity of a scenario: what was computed and what was
-    expected, with a short note on where the expectation comes from."""
+    expected, with a short note on where the expectation comes from.
+    ``match`` is compared once, when the step is built."""
 
     name: str
     computed: object
     expected: object
     note: str = ""
+    match: bool = field(init=False)
 
-    @property
-    def match(self):
-        return bool(self.computed == self.expected)
+    def __post_init__(self):
+        object.__setattr__(self, "match", bool(self.computed == self.expected))
 
 
 @dataclass(frozen=True)
@@ -445,8 +446,6 @@ def run_scenario(scenario_id):
     start = time.perf_counter()
     try:
         steps = tuple(body())
-        for step in steps:
-            step.match  # comparing two values may raise, too
         error = ""
     except Exception as exc:
         steps = ()

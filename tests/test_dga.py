@@ -23,7 +23,7 @@ from formbench.errors import (
 )
 from formbench.exterior import Coframe, Form, Generator
 from formbench.models import kodaira, nakamura, torus
-from formbench.scalars import ZERO, GaussianRational, VariableTable
+from formbench.scalars import ZERO, GaussianRational, PolyScalar, VariableTable
 from support import (
     gaussian,
     nonzero_gaussian,
@@ -142,6 +142,37 @@ def test_leibniz_randomized():
             lhs = model.d(a.wedge(b))
             rhs = model.d(a).wedge(b) + a.wedge(model.d(b)).scaled(sign)
             assert lhs == rhs
+
+
+def test_unit_monomials_make_no_unit_products(monkeypatch):
+    # the tables apply the operators to unit monomials only: with the d cache
+    # warm, d, del_ and delbar multiply nothing, and deldelbar multiplies only
+    # by the coefficients of delbar(f), never by the unit
+    model = nakamura(Fraction(1, 2)).model
+    cf = model.coframe
+    one = model.table.one()
+    forms = [Form(cf, {mon: one})
+             for k in range(len(cf.generators) + 1)
+             for mon in model.monomials_of_degree(k)]
+    operators = (model.d, model.del_, model.delbar, model.deldelbar)
+    for op in operators:
+        for form in forms:
+            op(form)
+    products = []
+    original = PolyScalar.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(PolyScalar, "__mul__", counted)
+    monkeypatch.setattr(PolyScalar, "__rmul__", counted)
+    for op in operators[:3]:
+        assert any(op(form) for form in forms)
+    assert products == []
+    assert any(model.deldelbar(form) for form in forms)
+    assert products
+    assert not any(one in pair for pair in products)
 
 
 # -- cohomology -------------------------------------------------------------------

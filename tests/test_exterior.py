@@ -19,6 +19,21 @@ def test_sort_with_sign():
     assert sort_with_sign([2, 0, 1]) == (1, (0, 1, 2))
     assert sort_with_sign([0, 0]) == (0, None)
     assert sort_with_sign([]) == (1, ())
+    rng = random.Random(53)
+    for _ in range(300):
+        size = rng.randint(0, 8)
+        positions = [rng.randrange(12) for _ in range(size)]
+        if rng.random() < 0.5:
+            positions = rng.sample(range(12), size)
+        if len(set(positions)) < size:
+            assert sort_with_sign(positions) == (0, None)
+            continue
+        inversions = sum(
+            1 for i in range(size) for j in range(i + 1, size)
+            if positions[i] > positions[j]
+        )
+        expected = -1 if inversions % 2 else 1
+        assert sort_with_sign(positions) == (expected, tuple(sorted(positions)))
 
 
 def test_merge_monomials():
@@ -205,6 +220,16 @@ def test_coframe_validation_errors():
             table,
             volume=["a"],
         )
+    # the conjugation pairing must be an involution between the two types
+    pair = [Generator("a", (1, 0)), Generator("b", (1, 0)), Generator("ab", (0, 1))]
+    with pytest.raises(ValueError, match="inconsistent conjugate pairing at ab"):
+        Coframe(pair, table, conjugates={"a": "ab", "b": "ab"})
+    with pytest.raises(ValueError, match="unknown conjugate 'nope'"):
+        Coframe(pair, table, conjugates={"a": "nope"})
+    with pytest.raises(ValueError, match="a and b have the same type"):
+        Coframe(pair, table, conjugates={"a": "b"})
+    with pytest.raises(ValueError, match="inconsistent conjugate pairing at t"):
+        VariableTable([("t", "tb"), ("t", "tc")])
 
 
 def test_integrate_requires_volume():

@@ -220,6 +220,21 @@ def test_load_model_inconsistent_pairing():
         model_from_dict(document)
 
 
+def test_load_model_unhashable_names():
+    # a list where a name belongs is malformed input, not a crash
+    documents = [
+        {"variables": [{"name": ["t"]}],
+         "generators": [{"name": "g1", "bidegree": [1, 0]}]},
+        {"generators": [{"name": "g1", "bidegree": [1, 0], "conjugate": ["g2"]},
+                        {"name": "g2", "bidegree": [0, 1]}]},
+        {"generators": [{"name": ["g1"], "bidegree": [1, 0], "conjugate": "g2"},
+                        {"name": "g2", "bidegree": [0, 1]}]},
+    ]
+    for document in documents:
+        with pytest.raises(ParseError):
+            model_from_dict(document)
+
+
 def test_model_without_volume_still_computes():
     document = {
         "variables": [],

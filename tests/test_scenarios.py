@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -46,6 +47,41 @@ def test_report_json_is_deterministic():
     assert payload["passed"] is True
     quantity = payload["quantities"][0]
     assert set(quantity) == {"name", "value", "reference", "match", "note"}
+
+
+# sha256 of the `wb run <id> --json` stdout of each scenario; a change to
+# rendering, signs or any computed value shows here as a changed digest
+REPORT_SHA256 = {
+    "torus2-gram":
+        "dde7a0af6d7d2e35e68e3c675c2816fa83ca69246eeedecc42424993e10a2c6d",
+    "torus4-gram":
+        "1493ed2138430535d89eaaf9baa9e8f987b298dfc891397b57e79b7a98e59b0d",
+    "torus4-deformed":
+        "b39e01dabf8b6df64245b63e029336c3c312f02c476a15be380da57a1ca3070d",
+    "bbf-vanishing":
+        "4513d021775cc6a82a235086a04754ead6542ab1265171d5ec5998d13625ccb2",
+    "kodaira":
+        "ba7dd4d899aa3b73b8a42dc055f5a70789a35715b823934f3f53ed01c295f220",
+    "kodaira-lambda":
+        "7680f5739028ead70c7174e60fc2424c89a4fb3d4c5b0798e3003b70b7f33e1f",
+    "nakamura":
+        "f37c231369ca58b40bdd554a0e53a6b940d44f14decec0f8272b3be12336d3c0",
+    "k3-product":
+        "c271c0b5df4a49e5621d044fac471eb9580e752f3c50850afb52a4516d888a7b",
+    "grass-degree":
+        "ab03464970afe8377491139e273d0f12f676f6c415ef224d2829b798f0decbbb",
+}
+
+
+def test_report_json_is_pinned(capsys):
+    assert list(REPORT_SHA256) == ALL_IDS
+    changed = []
+    for scenario_id, digest in REPORT_SHA256.items():
+        main(["run", scenario_id, "--json"])
+        out = capsys.readouterr().out.encode()
+        if hashlib.sha256(out).hexdigest() != digest:
+            changed.append(scenario_id)
+    assert not changed, f"JSON report changed for {changed}"
 
 
 def test_step_match_is_exact():
