@@ -175,15 +175,16 @@ def q_sigma(space, alpha):
 
 
 def _pairings(space, form, what):
-    """The part of the bilinear form that depends on one argument only:
-    (form s^(n-1) sb^(n-1), I[form s^(n-1) sb^n], I[form s^n sb^(n-1)])."""
+    """The part of the bilinear form that depends on one argument only, with
+    its constants folded in: for f = (n/2) form, (f s^(n-1) sb^(n-1),
+    (1-n)/n I[f s^(n-1) sb^n], I[form s^n sb^(n-1)])."""
     _check_degree_two(space, form, what)
     n = space.n
     s, sb = space.sigma_pow, space.sigma_bar_pow
-    lower = form.wedge(s[n - 1])
+    lower = form.scaled(Fraction(n, 2)).wedge(s[n - 1])
     return (
         lower.wedge(sb[n - 1]),
-        lower.wedge(sb[n]).integrate(),
+        lower.wedge(sb[n]).integrate() * Fraction(1 - n, n),
         form.wedge(s[n]).wedge(sb[n - 1]).integrate(),
     )
 
@@ -192,10 +193,8 @@ def _combine(space, psi_record, eta, eta_record):
     """The bilinear form on psi and eta from their pairing records."""
     psi_wedge, psi_holo, psi_anti = psi_record
     _, eta_holo, eta_anti = eta_record
-    n = space.n
     mixed = eta.wedge(psi_wedge).integrate()
-    cross = psi_holo * eta_anti + eta_holo * psi_anti
-    return space.volume * mixed * Fraction(n, 2) + cross * Fraction(1 - n, 2)
+    return space.volume * mixed + psi_holo * eta_anti + eta_holo * psi_anti
 
 
 def bilinear(space, psi, eta):

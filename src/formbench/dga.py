@@ -5,9 +5,9 @@ graded derivation and splits as d = del + delbar by bidegree.  De Rham,
 Dolbeault, Bott-Chern and Aeppli cohomologies are computed by exact Gaussian
 elimination over the Gaussian rationals, so there is no tolerance anywhere.
 
-Models are immutable after validation.  Cohomology reports are memoized per
-model; the memo is written once per slot under the GIL and recomputation is
-idempotent, so concurrent readers are safe.
+Models are immutable after validation.  Cohomology reports and operator
+images are memoized per model; each memo entry is written once under the GIL
+and recomputation is idempotent, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -111,6 +111,7 @@ class StructureModel:
                 diff[coframe.position[name]] = form
         self._differentials = diff
         self._d_cache = {}
+        self._image_cache = {}  # (operator name, source slot) -> images
         self._reports = {}
         self._zero = coframe.zero_form()
         self._one = coframe.table.one()
@@ -268,15 +269,22 @@ class StructureModel:
         return Form(self.coframe,
                     {monomials[c]: constant(row[c]) for c in sorted(row)})
 
-    def _images(self, op, sources, targets):
-        """The image of each source monomial under op as a sparse
-        {target index: value} vector."""
-        index = {m: i for i, m in enumerate(targets)}
-        return [
-            {index[m]: self._constant(coeff)
-             for m, coeff in op(Form(self.coframe, {mon: self._one})).terms.items()}
-            for mon in sources
-        ]
+    def _images(self, name, slot, step):
+        """The image of each monomial of a slot under the named operator, as
+        sparse {index: value} vectors over the slot moved by step; memoized
+        per (operator, slot)."""
+        key = (name, slot)
+        cached = self._image_cache.get(key)
+        if cached is None:
+            op = getattr(self, name)
+            index = {m: i for i, m in enumerate(self._space(_shift(slot, step)))}
+            cached = [
+                {index[m]: self._constant(coeff)
+                 for m, coeff in op(Form(self.coframe, {mon: self._one})).terms.items()}
+                for mon in self._space(slot)
+            ]
+            self._image_cache[key] = cached
+        return cached
 
     # -- cohomology --------------------------------------------------------------
 
@@ -295,14 +303,12 @@ class StructureModel:
         stacked = []  # rows of the cocycle operators; images are columns
         for name, step in OPERATORS[theory][0]:
             rows = {}
-            images = self._images(getattr(self, name), space,
-                                  self._space(_shift(slot, step)))
-            for col, image in enumerate(images):
+            for col, image in enumerate(self._images(name, slot, step)):
                 for r, value in image.items():
                     rows.setdefault(r, {})[col] = value
             stacked += rows.values()
         cocycles = linalg.nullspace(stacked, len(space))
-        boundaries = self._boundary_vectors(theory, slot, space)
+        boundaries = self._boundary_vectors(theory, slot)
         reps = linalg.quotient_representatives(cocycles, boundaries)
         report = CohomologyReport(
             theory=theory,
@@ -343,7 +349,7 @@ class StructureModel:
                 raise NotClosed(f"{form} fails the {theory} cocycle condition")
         report = self.cohomology(theory, slot)
         reps = [self._vector(b, space) for b in report.basis]
-        boundaries = self._boundary_vectors(theory, slot, space)
+        boundaries = self._boundary_vectors(theory, slot)
         matrix = [[rep[r] for rep in reps] + [b.get(r, ZERO) for b in boundaries]
                   for r in range(len(space))]
         solution = linalg.solve(matrix, vec)
@@ -351,12 +357,10 @@ class StructureModel:
             raise NotClosed(f"{form} is not a cocycle of the computed slot")
         return tuple(solution[: report.dimension])
 
-    def _boundary_vectors(self, theory, slot, space):
+    def _boundary_vectors(self, theory, slot):
         vectors = []
         for name, step in OPERATORS[theory][1]:
-            vectors += self._images(
-                getattr(self, name), self._space(_shift(slot, step, -1)), space
-            )
+            vectors += self._images(name, _shift(slot, step, -1), step)
         return vectors
 
     def lambda_map(self, omega, theory, source_slot):

@@ -12,7 +12,6 @@ operations are pure, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ModelMismatch, UnknownVariable
 from .scalars import binary_power, conjugate_pairing, join_terms
@@ -152,8 +151,8 @@ class Coframe:
         sign, mon = sort_with_sign(positions)
         if sign == 0:
             return self.zero_form()
-        coeff = self.table.coerce(coefficient) * Fraction(sign)
-        return Form(self, {mon: coeff})
+        coeff = self.table.coerce(coefficient)
+        return Form(self, {mon: coeff if sign > 0 else -coeff})
 
     def form(self, terms):
         """Build a form from {monomial names tuple: coefficient}."""
@@ -316,8 +315,8 @@ class Form:
         coeff = self.terms.get(cf.volume_monomial)
         if coeff is None:
             return cf.table.zero()
-        v = cf.table.variable(cf.volume_variable)
-        return coeff * Fraction(cf.volume_sign) * v
+        value = coeff * cf.table.variable(cf.volume_variable)
+        return value if cf.volume_sign > 0 else -value
 
     # -- rendering ---------------------------------------------------------------
 

@@ -2,15 +2,22 @@
 
 Dense matrices are lists of row lists of GaussianRational; ``rref``,
 ``rank``, ``solve`` and the determinants work on them.  The cohomology
-tables use ``nullspace`` and ``quotient_representatives``, which work on
-sparse rows: ``{column: value}`` dicts holding only the nonzero entries.
-Elimination pivots on the first nonzero entry in column order; there is no
+tables use ``nullspace`` and ``quotient_representatives``, which take and
+return sparse rows: ``{column: value}`` dicts holding only the nonzero
+entries.  Inside, these two eliminate on Gaussian-integer rows
+``{column: (re, im)}``: each input row is cleared of denominators once, each
+echelon row is kept primitive with a positive-integer pivot, and a row
+becomes GaussianRational again only when it is returned, divided by its
+pivot.  Elimination pivots on the first nonzero entry in column order; there is no
 numerical tolerance anywhere in the package.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO
+from fractions import Fraction
+from math import gcd
+
+from .scalars import ONE, ZERO, GaussianRational, _integer_terms
 
 
 def rref(matrix):
@@ -47,57 +54,81 @@ def rank(matrix):
     return len(rref(matrix)[1])
 
 
-def _subtract(row, factor, pivot_row):
-    """row -= factor * pivot_row on sparse rows, dropping entries that cancel."""
-    for c, x in pivot_row.items():
-        value = row.get(c, ZERO) - factor * x
-        if value:
-            row[c] = value
-        else:
-            del row[c]
+def _integer_row(vec):
+    """A sparse GaussianRational row as a Gaussian-integer row
+    {column: (re, im)}: the row times the common denominator of its parts."""
+    terms, _ = _integer_terms(vec)
+    return {c: (re, im) for c, re, im in terms}
 
 
-def _reduce(vec, echelon):
-    """A copy of vec with every pivot column of the echelon cleared.
+def _eliminate(v, echelon):
+    """v with the pivot column of every (pivot, (s, row)) item cleared, each
+    by the cross-multiplication s*v - v[pivot]*row.
 
-    ``echelon`` maps pivot columns to rows that are 1 there and 0 at every
-    pivot inserted before them, so one pass in insertion order clears all
-    pivots; the remainder is unique, so the order does not change it.
+    Each row is s at its pivot and 0 at the pivots listed before it, so one
+    pass in order clears all of them.  The result is a positive integer
+    multiple of the remainder over Q(i), which is unique.
     """
-    v = dict(vec)
-    for pivot, row in echelon.items():
-        if pivot in v:
-            _subtract(v, v[pivot], row)
+    for pivot, (s, row) in echelon:
+        lead = v.get(pivot)
+        if lead is None:
+            continue
+        a, b = lead
+        if s != 1:
+            v = {c: (s * x, s * y) for c, (x, y) in v.items()}
+        for c, (x, y) in row.items():
+            re, im = v.get(c, (0, 0))
+            re -= a * x - b * y
+            im -= a * y + b * x
+            if re or im:
+                v[c] = (re, im)
+            else:
+                del v[c]
     return v
 
 
-def _normalized(v):
-    """(pivot, row): v scaled to 1 at its first nonzero column."""
+def _primitive(v):
+    """(pivot, s, row): v times the conjugate of its first nonzero entry,
+    divided by the integer gcd of all parts, so the pivot entry is the
+    positive integer s."""
     pivot = min(v)
-    inv = ONE / v[pivot]
-    return pivot, {c: x * inv for c, x in v.items()}
+    a, b = v[pivot]
+    if b or a < 0:
+        v = {c: (x * a + y * b, y * a - x * b) for c, (x, y) in v.items()}
+    s = v[pivot][0]
+    if s != 1:
+        g = gcd(*(part for xy in v.values() for part in xy))
+        if g != 1:
+            v = {c: (x // g, y // g) for c, (x, y) in v.items()}
+            s //= g
+    return pivot, s, v
+
+
+def _divided(x, y, s):
+    return GaussianRational(Fraction(x, s), Fraction(y, s))
 
 
 def nullspace(rows, n_cols):
     """A basis of the kernel of the sparse rows acting on column vectors of
     length n_cols: one vector per free column of the reduced row echelon
     form, in column order."""
-    reduced = {}  # pivot column -> row that is 1 there and 0 at other pivots
+    reduced = {}  # pivot column -> (s, row): s there and 0 at other pivots
     for vec in rows:
-        v = _reduce(vec, reduced)
+        v = _eliminate(_integer_row(vec), reduced.items())
         if v:
-            pivot, v = _normalized(v)
-            for row in reduced.values():
+            pivot, s, v = _primitive(v)
+            for p, (_, row) in reduced.items():
                 if pivot in row:
-                    _subtract(row, row[pivot], v)
-            reduced[pivot] = v
+                    reduced[p] = _primitive(_eliminate(row, [(pivot, (s, v))]))[1:]
+            reduced[pivot] = (s, v)
     basis = []
     for f in range(n_cols):
         if f not in reduced:
             vec = {f: ONE}
-            for p, row in reduced.items():
+            for p, (s, row) in reduced.items():
                 if f in row:
-                    vec[p] = -row[f]
+                    x, y = row[f]
+                    vec[p] = _divided(-x, -y, s)
             basis.append(vec)
     return basis
 
@@ -177,19 +208,21 @@ def quotient_representatives(cocycles, boundaries):
     """Representatives of span(cocycles) modulo span(boundaries).
 
     Reduces each cocycle against an echelon of the boundaries; nonzero
-    remainders become echelon-form representatives.  Vectors are sparse
-    ``{column: value}`` dicts over GaussianRational.
+    remainders become echelon-form representatives, 1 at their first nonzero
+    column.  Vectors are sparse ``{column: value}`` dicts over
+    GaussianRational.
     """
-    echelon = {}  # pivot column -> row normalized there, in insertion order
+    echelon = {}  # pivot column -> (s, row), in insertion order
 
     def insert(vec):
-        v = _reduce(vec, echelon)
+        v = _eliminate(_integer_row(vec), echelon.items())
         if not v:
             return None
-        pivot, row = _normalized(v)
-        echelon[pivot] = row
-        return row
+        pivot, s, row = _primitive(v)
+        echelon[pivot] = (s, row)
+        return s, row
 
     for b in boundaries:
         insert(b)
-    return [row for row in map(insert, cocycles) if row is not None]
+    return [{c: _divided(x, y, s) for c, (x, y) in row.items()}
+            for s, row in filter(None, map(insert, cocycles))]

@@ -306,8 +306,8 @@ class PolyScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        left, left_den = _integer_terms(self)
-        right, right_den = _integer_terms(other)
+        left, left_den = _integer_terms(self.terms)
+        right, right_den = _integer_terms(other.terms)
         sums = {}
         for e1, a, b in left:
             for e2, c, d in right:
@@ -477,16 +477,17 @@ def join_terms(pieces):
     )
 
 
-def _integer_terms(poly):
-    """The terms of a polynomial as (exponents, re, im) with Gaussian-integer
-    numerators over one common denominator, and that denominator."""
+def _integer_terms(terms):
+    """A {key: GaussianRational} map as (key, re, im) triples with
+    Gaussian-integer numerators over one common denominator, and that
+    denominator."""
     den = 1
-    for c in poly.terms.values():
+    for c in terms.values():
         den = lcm(den, c.re.denominator, c.im.denominator)
     return [
         (e, c.re.numerator * (den // c.re.denominator),
          c.im.numerator * (den // c.im.denominator))
-        for e, c in poly.terms.items()
+        for e, c in terms.items()
     ], den
 
 

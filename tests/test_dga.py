@@ -12,6 +12,7 @@ from formbench.dga import (
     BOTT_CHERN,
     DE_RHAM,
     DOLBEAULT,
+    OPERATORS,
     THEORIES,
     StructureModel,
 )
@@ -606,6 +607,120 @@ def test_tables_never_reach_dense_elimination(monkeypatch):
                      "quotient_representatives": len(reports)}
 
 
+OPERATOR_STEPS = dict(op for pair in OPERATORS.values() for ops in pair for op in ops)
+
+
+def test_full_table_applies_each_operator_once_per_monomial(monkeypatch):
+    model = nakamura(Fraction(1, 2)).model
+    top_level, nested = Counter(), Counter()
+    depth = [0]
+
+    def counted(name):
+        original = getattr(model, name)
+
+        def wrapper(form):
+            if depth[0]:
+                nested[name] += 1
+            else:
+                (mon,) = form.terms  # tables apply operators to monomials
+                top_level[(name, mon)] += 1
+            depth[0] += 1
+            try:
+                return original(form)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name in OPERATOR_STEPS:
+        monkeypatch.setattr(model, name, counted(name))
+    for theory in THEORIES:
+        for slot, _ in _slots_and_spaces(model, theory):
+            model.cohomology(theory, slot)
+    assert set(top_level.values()) == {1}
+    # each of the four operators on each of the 2**8 monomials, once
+    assert len(top_level) == 4 * 2**8
+    # deldelbar applies delbar and then del_ once each
+    assert sum(nested.values()) == 2 * sum(
+        1 for name, _ in top_level if name == "deldelbar")
+
+
+def _terms(form):
+    return {mon: coeff.constant_value() for mon, coeff in form.terms.items()}
+
+
+def _on(model, terms):
+    table = model.coframe.table
+    return Form(model.coframe, {mon: table.constant(c) for mon, c in terms.items()})
+
+
+def test_image_memo_leaves_classes_and_images_unchanged():
+    rng = random.Random(67)
+    warm = nakamura(Fraction(1, 2)).model
+    for theory in THEORIES:
+        for slot, _ in _slots_and_spaces(warm, theory):
+            warm.cohomology(theory, slot)
+    after_tables = {key: [dict(v) for v in images]
+                    for key, images in warm._image_cache.items()}
+    queries = 0
+    for theory in THEORIES:
+        for slot, _ in _slots_and_spaces(warm, theory):
+            basis = warm.cohomology(theory, slot).basis
+            if not basis:
+                continue
+            form = warm.coframe.zero_form()
+            for rep in basis:
+                form = form + rep.scaled(nonzero_gaussian(rng))
+            for op, sources in _boundary_sources(warm, theory, slot):
+                for mon in rng.sample(sources, min(2, len(sources))):
+                    form = form + op(_on(warm, {mon: gaussian(rng)}))
+            cold = nakamura(Fraction(1, 2)).model
+            expected = cold.class_of(_on(cold, _terms(form)), theory, slot)
+            assert warm.class_of(form, theory, slot) == expected, (theory, slot)
+            queries += 1
+    assert queries == 84
+    assert warm._image_cache == after_tables
+    fresh = nakamura(Fraction(1, 2)).model
+    assert warm._image_cache == {
+        (name, slot): fresh._images(name, slot, OPERATOR_STEPS[name])
+        for name, slot in warm._image_cache}
+
+
+def chain_nilmanifold(n):
+    """The nilpotent model d phi_k = -phi_1 ^ phi_(k-1) for k >= 3 on
+    phi_1..phi_n and the conjugate equations on phib_1..phib_n."""
+    holo = [Generator(f"phi{i}", (1, 0)) for i in range(1, n + 1)]
+    anti = [Generator(f"phib{i}", (0, 1)) for i in range(1, n + 1)]
+    cf = Coframe(holo + anti, VariableTable([("V", "V")]),
+                 conjugates={f"phi{i}": f"phib{i}" for i in range(1, n + 1)},
+                 volume=[g.name for g in holo + anti])
+    differentials = {}
+    for k in range(3, n + 1):
+        dphi = cf.monomial_form(("phi1", f"phi{k - 1}"), -1)
+        differentials[f"phi{k}"] = dphi
+        differentials[f"phib{k}"] = dphi.conjugate()
+    return StructureModel(cf, differentials)
+
+
+def test_chain_nilmanifold_dimension_five():
+    n = 5
+    model = chain_nilmanifold(n)
+    b = [model.betti(k) for k in range(2 * n + 1)]
+    assert b == [1, 4, 10, 18, 25, 28, 25, 18, 10, 4, 1]
+    assert sum((-1) ** k * x for k, x in enumerate(b)) == 0
+    assert b == b[::-1]  # Poincare duality
+    slots = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    h, bc, a = ({s: model.cohomology(theory, s).dimension for s in slots}
+                for theory in (DOLBEAULT, BOTT_CHERN, AEPPLI))
+    for p, q in slots:
+        assert h[(p, q)] == h[(n - p, n - q)]  # Serre duality
+        assert bc[(p, q)] == a[(n - p, n - q)]  # Bott-Chern/Aeppli duality
+    for k in range(2 * n + 1):
+        degree_k = [(p, k - p) for p in range(n + 1) if 0 <= k - p <= n]
+        assert sum(h[s] for s in degree_k) >= b[k]  # Frolicher
+        assert sum(bc[s] + a[s] for s in degree_k) >= 2 * b[k]
+
+
 @pytest.mark.parametrize("degree", [True, 2.0, "2"])
 def test_de_rham_rejects_non_integer_degree(degree):
     with pytest.raises(ValueError, match="integer degree"):
@@ -669,17 +784,29 @@ def test_euler_characteristic_vanishes():
 
 
 def test_concurrent_cohomology_readers():
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
+    serial = kodaira()
+    slots = [(theory, slot) for theory in THEORIES
+             for slot, _ in _slots_and_spaces(serial, theory)]
+
+    def tables(model):
+        return [[str(b) for b in model.cohomology(theory, slot).basis]
+                for theory, slot in slots]
+
+    expected = tables(serial)
     model = kodaira()
-    slots = [(p, q) for p in range(3) for q in range(3)]
-
-    def work(_):
-        return [model.cohomology(DOLBEAULT, slot).dimension for slot in slots]
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(work, range(8)))
-    assert all(result == results[0] for result in results)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(tables, model) for _ in range(16)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == expected for result in results)
+    assert model._image_cache == serial._image_cache
 
 
 def test_unknown_generator_in_differentials():

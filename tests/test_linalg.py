@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 from formbench import linalg
 from formbench.scalars import GaussianRational
@@ -148,3 +150,89 @@ def test_sparse_elimination_matches_dense_reference():
         assert [dense(r, n) for r in reps] == reference_quotient_representatives(
             cocycles, boundaries
         )
+
+
+def wide_gaussian(rng):
+    """A Gaussian rational with parts near 10**12 over denominators up to
+    10**6; one part in five is zero and the value is never zero."""
+
+    def part():
+        if rng.random() < 0.2:
+            return Fraction(0)
+        return Fraction(rng.choice((-1, 1)) * (10**12 + rng.randint(-999, 999)),
+                        rng.randint(1, 10**6))
+
+    while True:
+        value = GaussianRational(part(), part())
+        if value:
+            return value
+
+
+GAUSSIAN_PRIMES = (GaussianRational(1, 1), GaussianRational(2, 1),
+                   GaussianRational(3), GaussianRational(1, -2))
+
+
+def hard_matrix(rng, rows, cols):
+    """Wide entries, non-real first entries, rows multiplied by Gaussian
+    primes, duplicated rows and combinations of earlier rows."""
+    matrix = []
+    for _ in range(rows):
+        roll = rng.random()
+        if roll < 0.2 and matrix:
+            matrix.append(list(rng.choice(matrix)))
+        elif roll < 0.45 and matrix:
+            prime = rng.choice(GAUSSIAN_PRIMES)
+            matrix.append([prime * x for x in rng.choice(matrix)])
+        elif roll < 0.6 and len(matrix) > 1:
+            a, b = rng.sample(matrix, 2)
+            c = wide_gaussian(rng)
+            matrix.append([x + c * y for x, y in zip(a, b)])
+        else:
+            row = [wide_gaussian(rng) if rng.random() < 0.5 else ZERO
+                   for _ in range(cols)]
+            lead = rng.randrange(cols)
+            row[lead] = GaussianRational(rng.randint(-9, 9), rng.choice((-1, 1)))
+            matrix.append([rng.choice(GAUSSIAN_PRIMES) * x for x in row])
+    return matrix
+
+
+def assert_reduced_sparse(vectors):
+    for vec in vectors:
+        for value in vec.values():
+            assert type(value) is GaussianRational and value
+            for part in (value.re, value.im):
+                assert type(part) is Fraction and part.denominator > 0
+                assert gcd(part.numerator, part.denominator) == 1
+
+
+def test_integer_row_elimination_matches_dense_reference():
+    rng = random.Random(101)
+    for _ in range(30):
+        cols = rng.randint(1, 7)
+        matrix = hard_matrix(rng, rng.randint(1, 7), cols)
+        basis = linalg.nullspace([sparse(row) for row in matrix], cols)
+        assert [dense(v, cols) for v in basis] == reference_nullspace(matrix, cols)
+        assert_reduced_sparse(basis)
+
+        boundaries = hard_matrix(rng, rng.randint(0, 4), cols)
+        cocycles = hard_matrix(rng, rng.randint(1, 5), cols)
+        cocycles += [[x + wide_gaussian(rng) * y for x, y in zip(z, b)]
+                     for z, b in zip(cocycles, boundaries)]
+        reps = linalg.quotient_representatives(
+            [sparse(z) for z in cocycles], [sparse(b) for b in boundaries]
+        )
+        assert [dense(r, cols) for r in reps] == reference_quotient_representatives(
+            cocycles, boundaries
+        )
+        assert_reduced_sparse(reps)
+        assert all(r[min(r)] == ONE for r in reps)
+
+
+def test_integer_row_elimination_leaves_inputs_alone():
+    rng = random.Random(103)
+    matrix = hard_matrix(rng, 6, 5)
+    rows = [sparse(row) for row in matrix]
+    copies = [dict(row) for row in rows]
+    linalg.nullspace(rows, 5)
+    linalg.quotient_representatives(rows[3:], rows[:3])
+    assert rows == copies
