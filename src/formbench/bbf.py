@@ -63,12 +63,6 @@ class AntisymmetricMatrix:
             return self.entries.get((i, j), self.table.zero())
         return -self.entries.get((j, i), self.table.zero())
 
-    def rows(self):
-        return [
-            [self.entry(i, j) for j in range(1, self.size + 1)]
-            for i in range(1, self.size + 1)
-        ]
-
 
 def pfaffian(matrix):
     """Recursive expansion along the first row; Pf(A)^2 = det(A)."""

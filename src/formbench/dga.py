@@ -34,19 +34,13 @@ AEPPLI = "aeppli"
 THEORIES = (DE_RHAM, DOLBEAULT, BOTT_CHERN, AEPPLI)
 
 # Every theory is "common kernel of the cocycle operators modulo the images of
-# the boundary operators".  An operator is a StructureModel method name with
-# the degree (de Rham) or bidegree it adds; it is looked up on the model at
-# call time.
-_D = ("d", 1)
-_DEL = ("del_", (1, 0))
-_DELBAR = ("delbar", (0, 1))
-_DDBAR = ("deldelbar", (1, 1))
-
+# the boundary operators".  An operator is named by the degree or bidegree it
+# adds: 1 is d, (1, 0) is del, (0, 1) is delbar and (1, 1) is del delbar.
 OPERATORS = {  # theory -> (cocycle operators, boundary operators)
-    DE_RHAM: ((_D,), (_D,)),
-    DOLBEAULT: ((_DELBAR,), (_DELBAR,)),
-    BOTT_CHERN: ((_DEL, _DELBAR), (_DDBAR,)),
-    AEPPLI: ((_DDBAR,), (_DEL, _DELBAR)),
+    DE_RHAM: ((1,), (1,)),
+    DOLBEAULT: (((0, 1),), ((0, 1),)),
+    BOTT_CHERN: (((1, 0), (0, 1)), ((1, 1),)),
+    AEPPLI: (((1, 1),), ((1, 0), (0, 1))),
 }
 
 
@@ -90,7 +84,9 @@ class LambdaMap:
     matrix: tuple
 
     def rank(self):
-        return linalg.rank([list(row) for row in self.matrix])
+        rows = [{c: x for c, x in enumerate(row) if x} for row in self.matrix]
+        n = self.source.dimension
+        return n - len(linalg.nullspace(rows, n))
 
     def is_zero(self):
         return all(not x for row in self.matrix for x in row)
@@ -111,7 +107,7 @@ class StructureModel:
                 diff[coframe.position[name]] = form
         self._differentials = diff
         self._d_cache = {}
-        self._image_cache = {}  # (operator name, source slot) -> images
+        self._image_cache = {}  # (source slot, step) -> images
         self._reports = {}
         self._zero = coframe.zero_form()
         self._one = coframe.table.one()
@@ -269,20 +265,26 @@ class StructureModel:
         return Form(self.coframe,
                     {monomials[c]: constant(row[c]) for c in sorted(row)})
 
-    def _images(self, name, slot, step):
-        """The image of each monomial of a slot under the named operator, as
-        sparse {index: value} vectors over the slot moved by step; memoized
-        per (operator, slot)."""
-        key = (name, slot)
+    def _images(self, slot, step):
+        """The image of each monomial of a slot under the operator that adds
+        step, as sparse {index: value} vectors over the slot moved by step;
+        memoized per (slot, step).
+
+        Each image is read off the memoized d of the monomial: keeping the
+        terms that lie in the target slot is the bidegree projection, and the
+        (1, 1) step applies del_ to the (p, q + 1) part.
+        """
+        key = (slot, step)
         cached = self._image_cache.get(key)
         if cached is None:
-            op = getattr(self, name)
             index = {m: i for i, m in enumerate(self._space(_shift(slot, step)))}
-            cached = [
-                {index[m]: self._constant(coeff)
-                 for m, coeff in op(Form(self.coframe, {mon: self._one})).terms.items()}
-                for mon in self._space(slot)
-            ]
+            cached = []
+            for mon in self._space(slot):
+                image = self._d_monomial(mon)
+                if step == (1, 1):
+                    image = self.del_(image.component(slot[0], slot[1] + 1))
+                cached.append({index[m]: self._constant(coeff)
+                               for m, coeff in image.terms.items() if m in index})
             self._image_cache[key] = cached
         return cached
 
@@ -301,9 +303,9 @@ class StructureModel:
             return cached
         space = self._space(slot)
         stacked = []  # rows of the cocycle operators; images are columns
-        for name, step in OPERATORS[theory][0]:
+        for step in OPERATORS[theory][0]:
             rows = {}
-            for col, image in enumerate(self._images(name, slot, step)):
+            for col, image in enumerate(self._images(slot, step)):
                 for r, value in image.items():
                     rows.setdefault(r, {})[col] = value
             stacked += rows.values()
@@ -344,23 +346,20 @@ class StructureModel:
         theory, slot = _normalize_slot(theory, slot)
         space = self._space(slot)
         vec = self._vector(form, space)
-        for name, _ in OPERATORS[theory][0]:
-            if getattr(self, name)(form):
-                raise NotClosed(f"{form} fails the {theory} cocycle condition")
         report = self.cohomology(theory, slot)
         reps = [self._vector(b, space) for b in report.basis]
         boundaries = self._boundary_vectors(theory, slot)
         matrix = [[rep[r] for rep in reps] + [b.get(r, ZERO) for b in boundaries]
                   for r in range(len(space))]
         solution = linalg.solve(matrix, vec)
-        if solution is None:
-            raise NotClosed(f"{form} is not a cocycle of the computed slot")
+        if solution is None:  # the reps and boundaries span the cocycles
+            raise NotClosed(f"{form} fails the {theory} cocycle condition")
         return tuple(solution[: report.dimension])
 
     def _boundary_vectors(self, theory, slot):
         vectors = []
-        for name, step in OPERATORS[theory][1]:
-            vectors += self._images(name, _shift(slot, step, -1), step)
+        for step in OPERATORS[theory][1]:
+            vectors += self._images(_shift(slot, step, -1), step)
         return vectors
 
     def lambda_map(self, omega, theory, source_slot):

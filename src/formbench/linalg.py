@@ -1,15 +1,15 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Dense matrices are lists of row lists of GaussianRational; ``rref``,
-``rank``, ``solve`` and the determinants work on them.  The cohomology
-tables use ``nullspace`` and ``quotient_representatives``, which take and
-return sparse rows: ``{column: value}`` dicts holding only the nonzero
-entries.  Inside, these two eliminate on Gaussian-integer rows
-``{column: (re, im)}``: each input row is cleared of denominators once, each
-echelon row is kept primitive with a positive-integer pivot, and a row
-becomes GaussianRational again only when it is returned, divided by its
-pivot.  Elimination pivots on the first nonzero entry in column order; there is no
-numerical tolerance anywhere in the package.
+Dense matrices are lists of row lists of GaussianRational; ``rref`` and
+``solve`` work on them.  The cohomology tables use ``nullspace`` and
+``quotient_representatives``, which take and return sparse rows:
+``{column: value}`` dicts holding only the nonzero entries.  Inside, these
+two eliminate on Gaussian-integer rows ``{column: (re, im)}``: each input
+row is cleared of denominators once, each echelon row is kept primitive with
+a positive-integer pivot, and a row becomes GaussianRational again only when
+it is returned, divided by its pivot.  Elimination pivots on the first
+nonzero entry in column order; there is no numerical tolerance anywhere in
+the package.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ def rref(matrix):
         if r == len(rows):
             break
     return rows, pivots
-
-
-def rank(matrix):
-    return len(rref(matrix)[1])
 
 
 def _integer_row(vec):
@@ -146,62 +142,6 @@ def solve(matrix, rhs):
     for r, p in enumerate(pivots):
         x[p] = reduced[r][n]
     return x
-
-
-def determinant(matrix):
-    """Determinant by Gaussian elimination over Q(i), dividing by each
-    pivot; tests use it as an independent oracle (Pf(A)^2 = det(A))."""
-    n = len(matrix)
-    rows = [list(r) for r in matrix]
-    det = ONE
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            det = -det
-        pivot = rows[c][c]
-        det = det * pivot
-        inv = ONE / pivot
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                factor = rows[i][c] * inv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
-    return det
-
-
-def determinant_ring(matrix, one):
-    """Cofactor-expansion determinant for matrices over any commutative ring
-    (used for symbolic entries, where division is unavailable)."""
-    n = len(matrix)
-    if n == 0:
-        return one
-
-    def minor_det(row_indices, col_indices):
-        if len(row_indices) == 1:
-            return matrix[row_indices[0]][col_indices[0]]
-        i = row_indices[0]
-        rest_rows = row_indices[1:]
-        total = None
-        for k, j in enumerate(col_indices):
-            entry = matrix[i][j]
-            if not entry:
-                continue
-            rest_cols = col_indices[:k] + col_indices[k + 1:]
-            piece = entry * minor_det(rest_rows, rest_cols)
-            if k % 2:
-                piece = -piece
-            total = piece if total is None else total + piece
-        if total is None:
-            return matrix[i][col_indices[0]] * 0
-        return total
-
-    return minor_det(tuple(range(n)), tuple(range(n)))
 
 
 def quotient_representatives(cocycles, boundaries):

@@ -146,7 +146,7 @@ def model_from_dict(document):
 
     generators = []
     mates = []
-    records = document.get("generators", [])
+    records = _list(document.get("generators", []), "generators")
     if not records:
         raise ParseError("at least one generator is required", field="generators")
     for record in records:
@@ -167,10 +167,10 @@ def model_from_dict(document):
         raise ParseError(str(exc)) from exc
 
     differentials = {}
-    for record in document.get("differentials", []):
+    for record in _list(document.get("differentials", []), "differentials"):
         try:
             target = record["generator"]
-            terms = record["terms"]
+            terms = _list(record["terms"], "differentials", "terms")
         except (TypeError, KeyError) as exc:
             raise ParseError(
                 "differential records need generator and terms",
@@ -184,7 +184,7 @@ def model_from_dict(document):
         for term in terms:
             try:
                 coefficient = parse_scalar(str(term["coefficient"]), table)
-                monomial = term["monomial"]
+                monomial = _list(term["monomial"], "differentials", "monomial")
             except (TypeError, KeyError) as exc:
                 raise ParseError(
                     "terms need coefficient and monomial", field="differentials"
@@ -198,6 +198,14 @@ def model_from_dict(document):
             total = total + coframe.monomial_form(monomial, coefficient)
         differentials[target] = total
     return StructureModel(coframe, differentials)
+
+
+def _list(value, field, name=None):
+    """value when it is a list; ParseError naming the field otherwise."""
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{name or field} must be a list, got {value!r}",
+                         field=field)
+    return value
 
 
 def load_model(path):

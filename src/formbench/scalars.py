@@ -518,7 +518,7 @@ class ScalarFraction:
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator, denominator=1):
-        if isinstance(numerator, ScalarFraction):
+        if not isinstance(numerator, PolyScalar):
             raise TypeError("numerator must be a PolyScalar")
         table = numerator.table
         denominator = table.coerce(denominator)

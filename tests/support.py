@@ -149,3 +149,73 @@ def reference_quotient_representatives(cocycles, boundaries):
         if row is not None:
             reps.append(row)
     return reps
+
+
+# -- dense oracles: rank, determinants and antisymmetric matrices ------------------
+
+
+def rank(matrix):
+    """The rank of a dense matrix from the dense rref."""
+    return len(rref(matrix)[1])
+
+
+def determinant(matrix):
+    """Determinant by Gaussian elimination over Q(i), dividing by each
+    pivot; an independent oracle for the Pfaffian (Pf(A)^2 = det(A))."""
+    n = len(matrix)
+    rows = [list(r) for r in matrix]
+    det = ONE
+    for c in range(n):
+        pivot_row = None
+        for i in range(c, n):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            det = -det
+        pivot = rows[c][c]
+        det = det * pivot
+        inv = ONE / pivot
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                factor = rows[i][c] * inv
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def determinant_ring(matrix, one):
+    """Cofactor-expansion determinant for matrices over any commutative ring
+    (used for symbolic entries, where division is unavailable)."""
+    n = len(matrix)
+    if n == 0:
+        return one
+
+    def minor_det(row_indices, col_indices):
+        if len(row_indices) == 1:
+            return matrix[row_indices[0]][col_indices[0]]
+        i = row_indices[0]
+        rest_rows = row_indices[1:]
+        total = None
+        for k, j in enumerate(col_indices):
+            entry = matrix[i][j]
+            if not entry:
+                continue
+            rest_cols = col_indices[:k] + col_indices[k + 1:]
+            piece = entry * minor_det(rest_rows, rest_cols)
+            if k % 2:
+                piece = -piece
+            total = piece if total is None else total + piece
+        if total is None:
+            return matrix[i][col_indices[0]] * 0
+        return total
+
+    return minor_det(tuple(range(n)), tuple(range(n)))
+
+
+def antisymmetric_rows(matrix):
+    """The full square matrix of an AntisymmetricMatrix, entry by entry."""
+    indices = range(1, matrix.size + 1)
+    return [[matrix.entry(i, j) for j in indices] for i in indices]

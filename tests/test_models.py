@@ -221,17 +221,30 @@ def test_load_model_inconsistent_pairing():
 
 
 def test_load_model_unhashable_names():
-    # a list where a name belongs is malformed input, not a crash
+    # a list where a name belongs, or a number where a list belongs, is
+    # malformed input, not a crash
+    generators = [{"name": "g1", "bidegree": [1, 0]},
+                  {"name": "g2", "bidegree": [0, 1]}]
     documents = [
-        {"variables": [{"name": ["t"]}],
-         "generators": [{"name": "g1", "bidegree": [1, 0]}]},
-        {"generators": [{"name": "g1", "bidegree": [1, 0], "conjugate": ["g2"]},
-                        {"name": "g2", "bidegree": [0, 1]}]},
-        {"generators": [{"name": ["g1"], "bidegree": [1, 0], "conjugate": "g2"},
-                        {"name": "g2", "bidegree": [0, 1]}]},
+        ({"variables": [{"name": ["t"]}],
+          "generators": [{"name": "g1", "bidegree": [1, 0]}]}, "variables"),
+        ({"generators": [{"name": "g1", "bidegree": [1, 0], "conjugate": ["g2"]},
+                         {"name": "g2", "bidegree": [0, 1]}]}, None),
+        ({"generators": [{"name": ["g1"], "bidegree": [1, 0], "conjugate": "g2"},
+                         {"name": "g2", "bidegree": [0, 1]}]}, None),
+        ({"generators": 5}, "generators: generators must be a list"),
+        ({"generators": generators, "differentials": 5},
+         "differentials: differentials must be a list"),
+        ({"generators": generators,
+          "differentials": [{"generator": "g1", "terms": 5}]},
+         "differentials: terms must be a list"),
+        ({"generators": generators,
+          "differentials": [{"generator": "g1",
+                             "terms": [{"coefficient": "1", "monomial": 5}]}]},
+         "differentials: monomial must be a list"),
     ]
-    for document in documents:
-        with pytest.raises(ParseError):
+    for document, message in documents:
+        with pytest.raises(ParseError, match=message):
             model_from_dict(document)
 
 

@@ -224,6 +224,13 @@ def test_fraction_equality_rejects_other_tables():
                 x == y
 
 
+def test_fraction_numerator_must_be_a_poly_scalar():
+    table = small_table()
+    for numerator in (3, Fraction(1, 2), ScalarFraction(table.variable("t1"))):
+        with pytest.raises(TypeError, match="numerator must be a PolyScalar"):
+            ScalarFraction(numerator, table.variable("u"))
+
+
 def test_fraction_equality_shortcuts():
     table = small_table()
     t1, t2, u = (table.variable(n) for n in ("t1", "t2", "u"))
