@@ -139,14 +139,15 @@ def _cmd_bbf_gram(args):
 
 def _cmd_cohomology(args):
     model = load_model(args.path)
-    if args.theory == DE_RHAM:
-        slot = int(args.degree)
-    else:
-        parts = args.degree.split(",")
-        if len(parts) != 2:
-            raise ParseError("bigraded theories need a degree of the form p,q")
-        slot = (int(parts[0]), int(parts[1]))
-    report = model.cohomology(args.theory, slot)
+    size, shape = (1, "an integer k") if args.theory == DE_RHAM else (2, "integers p,q")
+    try:
+        slot = tuple(int(part) for part in args.degree.split(","))
+    except ValueError:
+        slot = ()
+    if len(slot) != size:
+        raise ParseError(f"{args.theory} takes {shape}, got {args.degree!r}",
+                         field="--degree")
+    report = model.cohomology(args.theory, slot[0] if size == 1 else slot)
     print(f"{args.theory} {report.slot}: dimension {report.dimension}")
     for form in report.basis:
         print(f"  {form}")

@@ -2,8 +2,9 @@
 
 The differential of each generator is a degree-two form; d extends as a
 graded derivation and splits as d = del + delbar by bidegree.  De Rham,
-Dolbeault, Bott-Chern and Aeppli cohomologies are computed by exact Gaussian
-elimination over the Gaussian rationals, so there is no tolerance anywhere.
+Dolbeault, Bott-Chern and Aeppli cohomologies are computed by exact
+elimination on Gaussian-integer rows, read off the generator differentials
+cleared over one common denominator, so there is no tolerance anywhere.
 
 Models are immutable after validation.  Cohomology reports and operator
 images are memoized per model; each memo entry is written once under the GIL
@@ -13,6 +14,7 @@ and recomputation is idempotent, so concurrent readers are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
@@ -23,8 +25,8 @@ from .errors import (
     UnknownVariable,
     UnspecializedParameters,
 )
-from .exterior import Form
-from .scalars import ZERO
+from .exterior import Form, merge_monomials
+from .scalars import ZERO, GaussianRational, _integer_terms
 
 DE_RHAM = "de_rham"
 DOLBEAULT = "dolbeault"
@@ -84,7 +86,8 @@ class LambdaMap:
     matrix: tuple
 
     def rank(self):
-        rows = [{c: x for c, x in enumerate(row) if x} for row in self.matrix]
+        rows = [_integer_terms({c: x for c, x in enumerate(row) if x})[0]
+                for row in self.matrix]
         n = self.source.dimension
         return n - len(linalg.nullspace(rows, n))
 
@@ -106,7 +109,10 @@ class StructureModel:
             if form:
                 diff[coframe.position[name]] = form
         self._differentials = diff
+        self._d_terms = {pos: form.terms for pos, form in diff.items()}
+        self._d_rows = None  # the differentials times D, on Gaussian integers
         self._d_cache = {}
+        self._d_row_cache = {}  # monomial -> D times its d, on Gaussian integers
         self._image_cache = {}  # (source slot, step) -> images
         self._reports = {}
         self._zero = coframe.zero_form()
@@ -129,15 +135,12 @@ class StructureModel:
         cached = self._d_cache.get(monomial)
         if cached is not None:
             return cached
-        total = self._zero
-        for i, pos in enumerate(monomial):
-            dg = self._differentials.get(pos)
-            if dg is None:
-                continue
-            # d(x_i) has degree two, so it commutes past x_0 ... x_(i-1)
-            rest = monomial[:i] + monomial[i + 1:]
-            piece = dg.wedge(Form(self.coframe, {rest: self._one}))
-            total = total + (-piece if i % 2 else piece)
+        terms = {}
+        for sign, mon, coeff in _leibniz_terms(monomial, self._d_terms):
+            coeff = coeff if sign > 0 else -coeff
+            old = terms.get(mon)
+            terms[mon] = coeff if old is None else old + coeff
+        total = Form(self.coframe, terms)
         self._d_cache[monomial] = total
         return total
 
@@ -259,32 +262,51 @@ class StructureModel:
             )
         return coeff.constant_value()
 
-    def _form(self, row, monomials):
-        """The form of a sparse {index: value} row over the monomials."""
+    def _form(self, s, row, monomials):
+        """The form of a Gaussian-integer row {index: (re, im)} over the
+        monomials, divided by s."""
         constant = self.table.constant
-        return Form(self.coframe,
-                    {monomials[c]: constant(row[c]) for c in sorted(row)})
+        return Form(self.coframe, {
+            monomials[c]: constant(GaussianRational(Fraction(x, s), Fraction(y, s)))
+            for c, (x, y) in sorted(row.items())})
+
+    def _integer_d(self, monomial):
+        """D times d(monomial) as a Gaussian-integer row {monomial: (re, im)},
+        D the common denominator of the generator differentials; memoized."""
+        row = self._d_row_cache.get(monomial)
+        if row is None:
+            if self._d_rows is None:
+                cleared, _ = _integer_terms({
+                    (pos, mon): self._constant(coeff)
+                    for pos, terms in self._d_terms.items()
+                    for mon, coeff in terms.items()})
+                self._d_rows = {pos: {mon: cleared[pos, mon] for mon in terms}
+                                for pos, terms in self._d_terms.items()}
+            row = _row((m, sign * x, sign * y)
+                       for sign, m, (x, y) in _leibniz_terms(monomial, self._d_rows))
+            self._d_row_cache[monomial] = row
+        return row
 
     def _images(self, slot, step):
         """The image of each monomial of a slot under the operator that adds
-        step, as sparse {index: value} vectors over the slot moved by step;
-        memoized per (slot, step).
-
-        Each image is read off the memoized d of the monomial: keeping the
-        terms that lie in the target slot is the bidegree projection, and the
-        (1, 1) step applies del_ to the (p, q + 1) part.
+        step, times D (D squared for (1, 1)), as Gaussian-integer rows
+        {index: (re, im)} over the slot moved by step; memoized per (slot,
+        step).  Keeping the terms of the integer d that lie in the target slot
+        is the bidegree projection; the (1, 1) rows compose (0, 1) and (1, 0).
         """
         key = (slot, step)
         cached = self._image_cache.get(key)
         if cached is None:
-            index = {m: i for i, m in enumerate(self._space(_shift(slot, step)))}
-            cached = []
-            for mon in self._space(slot):
-                image = self._d_monomial(mon)
-                if step == (1, 1):
-                    image = self.del_(image.component(slot[0], slot[1] + 1))
-                cached.append({index[m]: self._constant(coeff)
-                               for m, coeff in image.terms.items() if m in index})
+            if step == (1, 1):
+                outer = self._images((slot[0], slot[1] + 1), (1, 0))
+                cached = [_row((c, a * x - b * y, a * y + b * x)
+                               for j, (a, b) in row.items()
+                               for c, (x, y) in outer[j].items())
+                          for row in self._images(slot, (0, 1))]
+            else:
+                index = {m: i for i, m in enumerate(self._space(_shift(slot, step)))}
+                cached = [{index[m]: xy for m, xy in self._integer_d(mon).items()
+                           if m in index} for mon in self._space(slot)]
             self._image_cache[key] = cached
         return cached
 
@@ -316,7 +338,7 @@ class StructureModel:
             theory=theory,
             slot=slot,
             dimension=len(reps),
-            basis=tuple(self._form(v, space) for v in reps),
+            basis=tuple(self._form(s, row, space) for s, row in reps),
         )
         self._reports[key] = report
         return report
@@ -348,7 +370,8 @@ class StructureModel:
         vec = self._vector(form, space)
         report = self.cohomology(theory, slot)
         reps = [self._vector(b, space) for b in report.basis]
-        boundaries = self._boundary_vectors(theory, slot)
+        boundaries = [{r: GaussianRational(x, y) for r, (x, y) in b.items()}
+                      for b in self._boundary_vectors(theory, slot)]
         matrix = [[rep[r] for rep in reps] + [b.get(r, ZERO) for b in boundaries]
                   for r in range(len(space))]
         solution = linalg.solve(matrix, vec)
@@ -391,6 +414,31 @@ class StructureModel:
             for r in range(target.dimension)
         )
         return LambdaMap(source=source, target=target, matrix=matrix)
+
+
+def _leibniz_terms(monomial, differentials):
+    """(sign, monomial, coefficient) for each term of d(monomial) by the graded
+    Leibniz rule, the differentials given as {position: {monomial: coeff}}."""
+    for i, pos in enumerate(monomial):
+        dg = differentials.get(pos)
+        if dg is None:
+            continue
+        # d(x_i) has degree two, so it commutes past x_0 ... x_(i-1)
+        rest = monomial[:i] + monomial[i + 1:]
+        for mon, coeff in dg.items():
+            sign, merged = merge_monomials(mon, rest)
+            if sign:
+                yield (-sign if i % 2 else sign), merged, coeff
+
+
+def _row(entries):
+    """The Gaussian-integer row {key: (re, im)} of (key, re, im) entries,
+    like keys summed and zeros dropped."""
+    out = {}
+    for c, x, y in entries:
+        re, im = out.get(c, (0, 0))
+        out[c] = (re + x, im + y)
+    return {c: xy for c, xy in out.items() if xy != (0, 0)}
 
 
 def _shift(slot, step, sign=1):

@@ -2,22 +2,21 @@
 
 Dense matrices are lists of row lists of GaussianRational; ``rref`` and
 ``solve`` work on them.  The cohomology tables use ``nullspace`` and
-``quotient_representatives``, which take and return sparse rows:
-``{column: value}`` dicts holding only the nonzero entries.  Inside, these
-two eliminate on Gaussian-integer rows ``{column: (re, im)}``: each input
-row is cleared of denominators once, each echelon row is kept primitive with
-a positive-integer pivot, and a row becomes GaussianRational again only when
-it is returned, divided by its pivot.  Elimination pivots on the first
-nonzero entry in column order; there is no numerical tolerance anywhere in
-the package.
+``quotient_representatives``, which take and return sparse Gaussian-integer
+rows ``{column: (re, im)}`` holding only the nonzero entries.  Both clear a
+pivot by cross-multiplication and keep each echelon row primitive with a
+positive-integer pivot, so no fraction is formed.  A returned row is a
+positive integer multiple of the vector the reduced row echelon form over
+Q(i) gives, which changes no kernel and no span; the caller divides once.
+Elimination pivots on the first nonzero entry in column order; there is no
+numerical tolerance anywhere in the package.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .scalars import ONE, ZERO, GaussianRational, _integer_terms
+from .scalars import ONE, ZERO
 
 
 def rref(matrix):
@@ -50,21 +49,16 @@ def rref(matrix):
     return rows, pivots
 
 
-def _integer_row(vec):
-    """A sparse GaussianRational row as a Gaussian-integer row
-    {column: (re, im)}: the row times the common denominator of its parts."""
-    terms, _ = _integer_terms(vec)
-    return {c: (re, im) for c, re, im in terms}
-
-
 def _eliminate(v, echelon):
-    """v with the pivot column of every (pivot, (s, row)) item cleared, each
-    by the cross-multiplication s*v - v[pivot]*row.
+    """A copy of v with the pivot column of every (pivot, (s, row)) item
+    cleared, each by the cross-multiplication s*v - v[pivot]*row; v itself,
+    which may be a memoized operator image, is left alone.
 
     Each row is s at its pivot and 0 at the pivots listed before it, so one
     pass in order clears all of them.  The result is a positive integer
     multiple of the remainder over Q(i), which is unique.
     """
+    v = dict(v)
     for pivot, (s, row) in echelon:
         lead = v.get(pivot)
         if lead is None:
@@ -100,17 +94,14 @@ def _primitive(v):
     return pivot, s, v
 
 
-def _divided(x, y, s):
-    return GaussianRational(Fraction(x, s), Fraction(y, s))
-
-
 def nullspace(rows, n_cols):
-    """A basis of the kernel of the sparse rows acting on column vectors of
-    length n_cols: one vector per free column of the reduced row echelon
-    form, in column order."""
+    """A basis of the kernel of the Gaussian-integer rows acting on column
+    vectors of length n_cols: one row per free column f of the reduced row
+    echelon form, in column order, each a positive integer multiple of the
+    kernel vector that is 1 at f and 0 at the other free columns."""
     reduced = {}  # pivot column -> (s, row): s there and 0 at other pivots
     for vec in rows:
-        v = _eliminate(_integer_row(vec), reduced.items())
+        v = _eliminate(vec, reduced.items())
         if v:
             pivot, s, v = _primitive(v)
             for p, (_, row) in reduced.items():
@@ -120,11 +111,10 @@ def nullspace(rows, n_cols):
     basis = []
     for f in range(n_cols):
         if f not in reduced:
-            vec = {f: ONE}
-            for p, (s, row) in reduced.items():
-                if f in row:
-                    x, y = row[f]
-                    vec[p] = _divided(-x, -y, s)
+            hits = [(p, s, row[f]) for p, (s, row) in reduced.items() if f in row]
+            m = lcm(*(s for _, s, _ in hits))
+            vec = {p: (-x * (m // s), -y * (m // s)) for p, s, (x, y) in hits}
+            vec[f] = (m, 0)
             basis.append(vec)
     return basis
 
@@ -145,17 +135,18 @@ def solve(matrix, rhs):
 
 
 def quotient_representatives(cocycles, boundaries):
-    """Representatives of span(cocycles) modulo span(boundaries).
+    """Representatives of span(cocycles) modulo span(boundaries), all
+    Gaussian-integer rows.
 
-    Reduces each cocycle against an echelon of the boundaries; nonzero
-    remainders become echelon-form representatives, 1 at their first nonzero
-    column.  Vectors are sparse ``{column: value}`` dicts over
-    GaussianRational.
+    Reduces each cocycle against an echelon of the boundaries.  Each nonzero
+    remainder is returned as a pair (s, row): a primitive row whose first
+    nonzero entry is the positive integer s, so that row / s is the
+    echelon-form representative, 1 at its first nonzero column.
     """
     echelon = {}  # pivot column -> (s, row), in insertion order
 
     def insert(vec):
-        v = _eliminate(_integer_row(vec), echelon.items())
+        v = _eliminate(vec, echelon.items())
         if not v:
             return None
         pivot, s, row = _primitive(v)
@@ -164,5 +155,4 @@ def quotient_representatives(cocycles, boundaries):
 
     for b in boundaries:
         insert(b)
-    return [{c: _divided(x, y, s) for c, (x, y) in row.items()}
-            for s, row in filter(None, map(insert, cocycles))]
+    return list(filter(None, map(insert, cocycles)))

@@ -308,9 +308,10 @@ class PolyScalar:
             return NotImplemented
         left, left_den = _integer_terms(self.terms)
         right, right_den = _integer_terms(other.terms)
+        right = right.items()
         sums = {}
-        for e1, a, b in left:
-            for e2, c, d in right:
+        for e1, (a, b) in left.items():
+            for e2, (c, d) in right:
                 e = tuple(x + y for x, y in zip(e1, e2))
                 re, im = sums.get(e, (0, 0))
                 sums[e] = (re + a * c - b * d, im + a * d + b * c)
@@ -478,17 +479,17 @@ def join_terms(pieces):
 
 
 def _integer_terms(terms):
-    """A {key: GaussianRational} map as (key, re, im) triples with
+    """A {key: GaussianRational} map as a {key: (re, im)} map of
     Gaussian-integer numerators over one common denominator, and that
     denominator."""
     den = 1
     for c in terms.values():
         den = lcm(den, c.re.denominator, c.im.denominator)
-    return [
-        (e, c.re.numerator * (den // c.re.denominator),
-         c.im.numerator * (den // c.im.denominator))
+    return {
+        e: (c.re.numerator * (den // c.re.denominator),
+            c.im.numerator * (den // c.im.denominator))
         for e, c in terms.items()
-    ], den
+    }, den
 
 
 def rational_content(poly):

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded random exact values and forms."""
 
 from fractions import Fraction
+from math import lcm
 
 from formbench.linalg import rref
 from formbench.scalars import ONE, ZERO, GaussianRational, PolyScalar
@@ -93,9 +94,19 @@ def dense(vec, n):
     return [vec.get(c, ZERO) for c in range(n)]
 
 
-def sparse(row):
-    """A dense list as a sparse {column: value} vector."""
-    return {c: x for c, x in enumerate(row) if x}
+def integer_row(row):
+    """A dense list of Gaussian rationals times the lcm of its denominators,
+    as a sparse Gaussian-integer row {column: (re, im)}."""
+    den = lcm(1, *(part.denominator for x in row for part in (x.re, x.im)))
+    return {c: (int(x.re * den), int(x.im * den))
+            for c, x in enumerate(row) if x}
+
+
+def divided(s, row):
+    """A sparse Gaussian-integer row divided by s, as a sparse
+    {column: GaussianRational} vector."""
+    return {c: GaussianRational(Fraction(x, s), Fraction(y, s))
+            for c, (x, y) in row.items()}
 
 
 def reference_nullspace(matrix, n_cols):

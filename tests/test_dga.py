@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -539,6 +539,36 @@ def bench_shape_nilpotent(rng):
     return StructureModel(cf, {"z4": dz4, "zb4": dz4.conjugate()})
 
 
+def mixed_denominator_model():
+    """Generator differentials over the denominators 3, 5 and 7 and the
+    Nakamura-style factor a = 1/(1 - |t|^2) = 36/23 at t = 1/3 + i/2, with
+    (2,0) and (1,1) parts and conjugate equations."""
+    holo = [Generator(f"phi{i}", (1, 0)) for i in range(1, 5)]
+    anti = [Generator(f"phib{i}", (0, 1)) for i in range(1, 5)]
+    cf = Coframe(holo + anti, VariableTable([("V", "V")]),
+                 conjugates={f"phi{i}": f"phib{i}" for i in range(1, 5)},
+                 volume=[g.name for g in holo + anti])
+    t = GaussianRational(Fraction(1, 3), Fraction(1, 2))
+    a = GaussianRational(1 / (1 - t.norm()))
+    dphi3 = cf.form({("phi1", "phi2"): Fraction(1, 3), ("phi1", "phib2"): a})
+    dphi4 = cf.form({("phi1", "phi3"): GaussianRational(Fraction(2, 5),
+                                                        Fraction(-1, 7)),
+                     ("phi2", "phib1"): a * t})
+    return StructureModel(cf, {"phi3": dphi3, "phib3": dphi3.conjugate(),
+                               "phi4": dphi4, "phib4": dphi4.conjugate()})
+
+
+def common_denominator(model):
+    """The lcm of the denominators of every generator differential's
+    coefficients."""
+    den = 1
+    for gen in model.coframe.generators:
+        for coeff in model.differential_of(gen.name).terms.values():
+            value = coeff.constant_value()
+            den = lcm(den, value.re.denominator, value.im.denominator)
+    return den
+
+
 def dense_route_basis(model, theory, slot, space):
     """The representatives of one slot from dense matrices of the public
     operator images, reduced by the dense reference routes."""
@@ -572,7 +602,8 @@ def dense_route_basis(model, theory, slot, space):
 
 def test_reports_match_dense_reference_route():
     models = [torus(2), kodaira(), nakamura(Fraction(1, 2)).model,
-              bench_shape_nilpotent(random.Random(41))]
+              bench_shape_nilpotent(random.Random(41)), mixed_denominator_model()]
+    assert common_denominator(models[-1]) == 3 * 5 * 7 * 23
     for model in models:
         for theory in THEORIES:
             for slot, space in _slots_and_spaces(model, theory):
@@ -607,15 +638,25 @@ def test_tables_never_reach_dense_elimination(monkeypatch):
                      "quotient_representatives": len(reports)}
 
 
+def gaussian_integer(value):
+    """The (re, im) pair of a Gaussian rational that is a Gaussian integer."""
+    assert value.re.denominator == 1 and value.im.denominator == 1, value
+    return value.re.numerator, value.im.numerator
+
+
 @pytest.mark.parametrize("make", [
     kodaira, lambda: nakamura(Fraction(1, 2)).model, lambda: torus(2),
-    lambda: chain_nilmanifold(5)], ids=["kodaira", "nakamura", "torus2", "chain5"])
+    lambda: chain_nilmanifold(5), mixed_denominator_model],
+    ids=["kodaira", "nakamura", "torus2", "chain5", "mixed"])
 def test_images_match_public_operators(make):
     # second route: each memoized image is the public operator applied to the
-    # unit monomial, written over the monomials of the target slot
+    # unit monomial, written over the monomials of the target slot and scaled
+    # by exactly D, the common denominator of the differentials (D squared
+    # for del delbar)
     model = make()
     cf = model.coframe
     one = cf.table.one()
+    den = common_denominator(model)
     operators = {1: model.d, (1, 0): model.del_, (0, 1): model.delbar,
                  (1, 1): model.deldelbar}
     checked = 0
@@ -623,10 +664,11 @@ def test_images_match_public_operators(make):
             model, DOLBEAULT):
         steps = [1] if isinstance(slot, int) else [(1, 0), (0, 1), (1, 1)]
         for step in steps:
+            scale = den * den if step == (1, 1) else den
             target = model._space(_shift(slot, step))
             index = {m: i for i, m in enumerate(target)}
             expected = [
-                {index[m]: c.constant_value()
+                {index[m]: gaussian_integer(c.constant_value() * scale)
                  for m, c in operators[step](Form(cf, {mon: one})).terms.items()}
                 for mon in space
             ]
@@ -635,30 +677,43 @@ def test_images_match_public_operators(make):
     assert checked == 4 * 2 ** len(cf.generators)
 
 
-def test_full_table_reads_the_differential_and_applies_del_once_per_ddbar_image(
-        monkeypatch):
+def test_full_table_makes_no_operator_wedge_or_polynomial_product(monkeypatch):
+    # the tables read the images off the integer differentials, so after
+    # construction no public operator, wedge or PolyScalar product runs
     model = nakamura(Fraction(1, 2)).model
     calls = Counter()
 
-    def counted(name):
-        original = getattr(model, name)
-
-        def wrapper(form):
+    def counted(name, original):
+        def wrapper(*args):
             calls[name] += 1
-            return original(form)
+            return original(*args)
 
         return wrapper
 
     for name in ("d", "del_", "delbar", "deldelbar"):
-        monkeypatch.setattr(model, name, counted(name))
+        monkeypatch.setattr(model, name, counted(name, getattr(model, name)))
+    monkeypatch.setattr(Form, "wedge", counted("wedge", Form.wedge))
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(PolyScalar, name,
+                            counted(name, getattr(PolyScalar, name)))
+    tables = {theory: [model.cohomology(theory, slot).dimension
+                       for slot, _ in _slots_and_spaces(model, theory)]
+              for theory in THEORIES}
+    assert sum(map(sum, tables.values())) > 0
+    assert calls == Counter()
+
+
+def test_full_tables_leave_the_image_memo_as_built():
+    # the elimination must not write into the memoized image rows it reads:
+    # a boundary row overwritten there gives a wrong basis of the right size
+    model = bench_shape_nilpotent(random.Random(41))
     for theory in THEORIES:
         for slot, _ in _slots_and_spaces(model, theory):
             model.cohomology(theory, slot)
-    ddbar_images = sum(len(model._space(slot))
-                       for slot, step in model._image_cache if step == (1, 1))
-    assert calls == {"del_": ddbar_images}
-    # the Aeppli cocycles ask for the (1, 1) image of every monomial
-    assert ddbar_images == 2 ** 8
+    fresh = bench_shape_nilpotent(random.Random(41))
+    assert model._image_cache == {
+        (slot, step): fresh._images(slot, step)
+        for slot, step in model._image_cache}
 
 
 def _terms(form):

@@ -8,12 +8,13 @@ from support import (
     dense,
     determinant,
     determinant_ring,
+    divided,
     gaussian,
+    integer_row,
     nonzero_gaussian,
     rank,
     reference_nullspace,
     reference_quotient_representatives,
-    sparse,
 )
 
 ZERO = GaussianRational(0)
@@ -22,6 +23,23 @@ ONE = GaussianRational(1)
 
 def random_matrix(rng, rows, cols):
     return [[gaussian(rng) for _ in range(cols)] for _ in range(rows)]
+
+
+def kernel_vectors(basis, n):
+    """Kernel rows divided by their entry at their last column, the free
+    column, which must be a positive integer: the dense kernel vectors that
+    are 1 there."""
+    vectors = []
+    for vec in basis:
+        s, zero = vec[max(vec)]
+        assert type(s) is int and s > 0 and zero == 0
+        vectors.append(dense(divided(s, vec), n))
+    return vectors
+
+
+def representatives(reps, n):
+    """(s, row) representatives as dense vectors row / s."""
+    return [dense(divided(s, row), n) for s, row in reps]
 
 
 def mat_vec(matrix, vec):
@@ -46,10 +64,10 @@ def test_nullspace_vectors_annihilate():
     for _ in range(25):
         matrix = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
         n = len(matrix[0])
-        basis = linalg.nullspace([sparse(row) for row in matrix], n)
+        basis = linalg.nullspace([integer_row(row) for row in matrix], n)
         assert len(basis) == n - rank(matrix)
-        for vec in basis:
-            assert all(not x for x in mat_vec(matrix, dense(vec, n)))
+        for vec in kernel_vectors(basis, n):
+            assert all(not x for x in mat_vec(matrix, vec))
 
 
 def test_nullspace_of_empty_matrix():
@@ -88,12 +106,11 @@ def test_determinant_ring_matches_field_version():
 
 
 def test_quotient_representatives():
-    e1 = {0: ONE}
-    e2 = {1: ONE}
-    e12 = {0: ONE, 1: ONE}
+    e1 = {0: (1, 0)}
+    e2 = {1: (1, 0)}
+    e12 = {0: (1, 0), 1: (1, 0)}
     reps = linalg.quotient_representatives([e1, e2, e12], [e1])
-    assert len(reps) == 1
-    assert reps[0] == e2
+    assert reps == [(1, e2)]
     # no boundaries: representatives span the cocycles
     reps = linalg.quotient_representatives([e1, e12], [])
     assert len(reps) == 2
@@ -137,18 +154,18 @@ def test_sparse_elimination_matches_dense_reference():
     for n in (1, 5, 9):
         cases.append((full_rank_matrix(rng, n, 0.3), n))
     for matrix, n in cases:
-        basis = linalg.nullspace([sparse(row) for row in matrix], n)
-        assert [dense(v, n) for v in basis] == reference_nullspace(matrix, n)
-        assert all(all(v.values()) for v in basis)  # no stored zeros
+        basis = linalg.nullspace([integer_row(row) for row in matrix], n)
+        assert kernel_vectors(basis, n) == reference_nullspace(matrix, n)
+        assert_integer_rows(basis)
 
         boundaries = random_sparse_matrix(rng, rng.randint(0, 6), n, 0.3)
         cocycles = reference_nullspace(matrix, n)
         cocycles += [[a + b for a, b in zip(x, y)]
                      for x, y in zip(cocycles, boundaries)]
         reps = linalg.quotient_representatives(
-            [sparse(z) for z in cocycles], [sparse(b) for b in boundaries]
-        )
-        assert [dense(r, n) for r in reps] == reference_quotient_representatives(
+            [integer_row(z) for z in cocycles],
+            [integer_row(b) for b in boundaries])
+        assert representatives(reps, n) == reference_quotient_representatives(
             cocycles, boundaries
         )
 
@@ -197,13 +214,12 @@ def hard_matrix(rng, rows, cols):
     return matrix
 
 
-def assert_reduced_sparse(vectors):
+def assert_integer_rows(vectors):
+    """Every entry an (int, int) pair other than (0, 0)."""
     for vec in vectors:
         for value in vec.values():
-            assert type(value) is GaussianRational and value
-            for part in (value.re, value.im):
-                assert type(part) is Fraction and part.denominator > 0
-                assert gcd(part.numerator, part.denominator) == 1
+            assert type(value) is tuple and len(value) == 2 and any(value)
+            assert all(type(part) is int for part in value)
 
 
 def test_integer_row_elimination_matches_dense_reference():
@@ -211,29 +227,39 @@ def test_integer_row_elimination_matches_dense_reference():
     for _ in range(30):
         cols = rng.randint(1, 7)
         matrix = hard_matrix(rng, rng.randint(1, 7), cols)
-        basis = linalg.nullspace([sparse(row) for row in matrix], cols)
-        assert [dense(v, cols) for v in basis] == reference_nullspace(matrix, cols)
-        assert_reduced_sparse(basis)
+        basis = linalg.nullspace([integer_row(row) for row in matrix], cols)
+        assert kernel_vectors(basis, cols) == reference_nullspace(matrix, cols)
+        assert_integer_rows(basis)
 
         boundaries = hard_matrix(rng, rng.randint(0, 4), cols)
         cocycles = hard_matrix(rng, rng.randint(1, 5), cols)
         cocycles += [[x + wide_gaussian(rng) * y for x, y in zip(z, b)]
                      for z, b in zip(cocycles, boundaries)]
         reps = linalg.quotient_representatives(
-            [sparse(z) for z in cocycles], [sparse(b) for b in boundaries]
-        )
-        assert [dense(r, cols) for r in reps] == reference_quotient_representatives(
+            [integer_row(z) for z in cocycles],
+            [integer_row(b) for b in boundaries])
+        assert representatives(reps, cols) == reference_quotient_representatives(
             cocycles, boundaries
         )
-        assert_reduced_sparse(reps)
-        assert all(r[min(r)] == ONE for r in reps)
+        rows = [row for _, row in reps]
+        assert_integer_rows(rows)
+        for s, row in reps:  # primitive, with the positive integer s first
+            assert type(s) is int and s > 0 and row[min(row)] == (s, 0)
+            assert gcd(*(part for xy in row.values() for part in xy)) == 1
 
 
 def test_integer_row_elimination_leaves_inputs_alone():
+    # unit rows come first, so echelon rows with pivot s = 1 exist; that is
+    # where the elimination works on a row in place
     rng = random.Random(103)
-    matrix = hard_matrix(rng, 6, 5)
-    rows = [sparse(row) for row in matrix]
+    units = [[ONE if c == j else ZERO for c in range(7)] for j in (0, 2, 5)]
+    matrix = units + hard_matrix(rng, 3, 7)
+    rows = [integer_row(row) for row in matrix]
     copies = [dict(row) for row in rows]
-    linalg.nullspace(rows, 5)
+    kernel = linalg.nullspace(rows, 7)
+    kernel_copies = [dict(v) for v in kernel]
+    assert kernel
     linalg.quotient_representatives(rows[3:], rows[:3])
+    linalg.quotient_representatives(kernel, rows[:3])
     assert rows == copies
+    assert kernel == kernel_copies

@@ -180,6 +180,19 @@ def test_cli_cohomology(tmp_path, capsys):
     assert "w1^wb2" in out
 
 
+@pytest.mark.parametrize("theory,degree,shape", [
+    ("dolbeault", "1,x", "integers p,q"), ("dolbeault", "1", "integers p,q"),
+    ("de_rham", "abc", "an integer k"), ("de_rham", "1,1", "an integer k")])
+def test_cli_cohomology_malformed_degree_names_the_field(
+        tmp_path, capsys, theory, degree, shape):
+    path = tmp_path / "kodaira.json"
+    save_model(kodaira(), path)
+    assert main(["cohomology", str(path), "--theory", theory,
+                 "--degree", degree]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --degree: {theory} takes {shape}, got {degree!r}\n")
+
+
 def test_cli_bbf_gram(tmp_path, capsys):
     path = tmp_path / "kodaira.json"
     save_model(kodaira(), path)
