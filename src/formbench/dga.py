@@ -8,13 +8,16 @@ cleared over one common denominator, so there is no tolerance anywhere.
 
 Models are immutable after validation.  Cohomology reports and operator
 images are memoized per model; each memo entry is written once under the GIL
-and recomputation is idempotent, so concurrent readers are safe.
+and recomputation is idempotent, so concurrent readers are safe.  A report
+keeps its representatives as Gaussian-integer rows and builds its basis forms
+on the first read of ``basis``, memoized the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from . import linalg
@@ -50,14 +53,29 @@ OPERATORS = {  # theory -> (cocycle operators, boundary operators)
 class CohomologyReport:
     """Dimension and representative basis of one cohomology group.
 
-    ``slot`` is a degree k for de Rham and a bidegree pair (p, q) otherwise;
-    representatives are echelon-form cocycles.
+    ``slot`` is a degree k for de Rham and a bidegree pair (p, q) otherwise.
+    The echelon-form representatives are kept as Gaussian-integer rows: each
+    ``(s, row)`` pair of ``linalg.quotient_representatives`` as one flat tuple
+    ``(s, monomial, re, im, monomial, re, im, ...)`` in monomial order.
+    ``basis`` builds their forms, each row divided by its s, on the first
+    read and memoizes the tuple.  Reports compare by every field but the
+    coframe object.
     """
 
     theory: str
     slot: object
     dimension: int
-    basis: tuple
+    rows: tuple
+    coframe: object = field(compare=False, repr=False)
+
+    @cached_property
+    def basis(self):
+        constant = self.coframe.table.constant
+        return tuple(
+            Form(self.coframe, {m: constant(
+                GaussianRational(Fraction(x, s), Fraction(y, s)))
+                for m, x, y in zip(row[::3], row[1::3], row[2::3])})
+            for s, *row in self.rows)
 
     def __str__(self):
         return f"H_{self.theory}{self.slot}: dim {self.dimension}"
@@ -245,12 +263,13 @@ class StructureModel:
             return self.monomials_of_degree(slot)
         return self.monomials_of_bidegree(*slot)
 
-    def _vector(self, form, monomials):
+    def _vector(self, form, theory, slot, monomials):
         index = {m: i for i, m in enumerate(monomials)}
         vec = [ZERO] * len(monomials)
         for mon, coeff in form.terms.items():
             if mon not in index:
-                raise ValueError("form does not lie in the requested slot")
+                name = "^".join(self.coframe.generators[p].name for p in mon)
+                raise ValueError(f"{name or '1'} is not in {theory} slot {slot}")
             vec[index[mon]] = self._constant(coeff)
         return vec
 
@@ -261,14 +280,6 @@ class StructureModel:
                 f"{sorted(coeff.variables_used())} before exact linear algebra"
             )
         return coeff.constant_value()
-
-    def _form(self, s, row, monomials):
-        """The form of a Gaussian-integer row {index: (re, im)} over the
-        monomials, divided by s."""
-        constant = self.table.constant
-        return Form(self.coframe, {
-            monomials[c]: constant(GaussianRational(Fraction(x, s), Fraction(y, s)))
-            for c, (x, y) in sorted(row.items())})
 
     def _integer_d(self, monomial):
         """D times d(monomial) as a Gaussian-integer row {monomial: (re, im)},
@@ -334,12 +345,9 @@ class StructureModel:
         cocycles = linalg.nullspace(stacked, len(space))
         boundaries = self._boundary_vectors(theory, slot)
         reps = linalg.quotient_representatives(cocycles, boundaries)
-        report = CohomologyReport(
-            theory=theory,
-            slot=slot,
-            dimension=len(reps),
-            basis=tuple(self._form(s, row, space) for s, row in reps),
-        )
+        rows = tuple([(s, *[v for c in sorted(row) for v in (space[c], *row[c])])
+                      for s, row in reps])
+        report = CohomologyReport(theory, slot, len(rows), rows, self.coframe)
         self._reports[key] = report
         return report
 
@@ -367,9 +375,9 @@ class StructureModel:
         self._check_form(form)
         theory, slot = _normalize_slot(theory, slot)
         space = self._space(slot)
-        vec = self._vector(form, space)
+        vec = self._vector(form, theory, slot, space)
         report = self.cohomology(theory, slot)
-        reps = [self._vector(b, space) for b in report.basis]
+        reps = [self._vector(b, theory, slot, space) for b in report.basis]
         boundaries = [{r: GaussianRational(x, y) for r, (x, y) in b.items()}
                       for b in self._boundary_vectors(theory, slot)]
         matrix = [[rep[r] for rep in reps] + [b.get(r, ZERO) for b in boundaries]
@@ -398,7 +406,8 @@ class StructureModel:
         else:
             step = omega.bidegree()
         if step is None:
-            raise ValueError("omega must be homogeneous")
+            raise ValueError("omega is zero" if not omega
+                             else "omega must be homogeneous")
         closed = "delbar" if theory == DOLBEAULT else "d"
         if getattr(self, closed)(omega):
             raise NotClosed(f"omega is not {closed}-closed")

@@ -1,4 +1,7 @@
+import gc
 import random
+import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -392,6 +395,18 @@ def test_class_of_rejects_non_cocycles():
         model.class_of(model.coframe.monomial_form(("w2", "wb2")), DE_RHAM, 2)
 
 
+@pytest.mark.parametrize("names, theory, slot, message", [
+    (("x1",), DE_RHAM, 2, "x1 is not in de_rham slot 2"),
+    (("x1", "xb1"), DOLBEAULT, (2, 0), "x1^xb1 is not in dolbeault slot (2, 0)"),
+    ((), AEPPLI, (1, 1), "1 is not in aeppli slot (1, 1)"),
+])
+def test_class_of_names_the_monomial_outside_the_slot(names, theory, slot, message):
+    model = torus(2)
+    form = model.coframe.monomial_form(names)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        model.class_of(form, theory, slot)
+
+
 def test_class_of_kills_coboundaries():
     rng = random.Random(53)
     model = kodaira()
@@ -444,6 +459,13 @@ def test_lambda_map_requires_closed_omega():
     model = kodaira()
     with pytest.raises(NotClosed):
         model.lambda_map(model.coframe.generator_form("w2"), DOLBEAULT, (1, 0))
+
+
+@pytest.mark.parametrize("theory, source", [(DE_RHAM, 1), (DOLBEAULT, (1, 0))])
+def test_lambda_map_names_a_zero_omega(theory, source):
+    model = kodaira()
+    with pytest.raises(ValueError, match="^omega is zero$"):
+        model.lambda_map(model.coframe.zero_form(), theory, source)
 
 
 # Each theory's cocycle operators and boundary sources, written out here
@@ -696,11 +718,75 @@ def test_full_table_makes_no_operator_wedge_or_polynomial_product(monkeypatch):
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(PolyScalar, name,
                             counted(name, getattr(PolyScalar, name)))
+    monkeypatch.setattr(Form, "__init__", counted("Form", Form.__init__))
+    monkeypatch.setattr(VariableTable, "constant",
+                        counted("constant", VariableTable.constant))
     tables = {theory: [model.cohomology(theory, slot).dimension
                        for slot, _ in _slots_and_spaces(model, theory)]
               for theory in THEORIES}
     assert sum(map(sum, tables.values())) > 0
     assert calls == Counter()
+
+
+def test_basis_forms_are_built_once_on_first_read(monkeypatch):
+    model = nakamura(Fraction(1, 2)).model
+    reports = [model.cohomology(theory, slot) for theory in THEORIES
+               for slot, _ in _slots_and_spaces(model, theory)]
+    built = Counter()
+
+    def counted(*args):
+        built["Form"] += 1
+        original(*args)
+
+    original = Form.__init__
+    monkeypatch.setattr(Form, "__init__", counted)
+    first = [report.basis for report in reports]
+    assert built["Form"] == sum(report.dimension for report in reports) > 0
+    assert all(report.basis is basis for report, basis in zip(reports, first))
+    assert built["Form"] == sum(report.dimension for report in reports)
+
+
+def test_cold_model_is_freed_without_the_cycle_collector():
+    # a report keeps its rows and the coframe, never the model, so a model
+    # with full tables goes as soon as its last reference does
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for make in (lambda: nakamura(Fraction(1, 2)).model,
+                     lambda: bench_shape_nilpotent(random.Random(41))):
+            model = make()
+            for theory in THEORIES:
+                for k, (slot, _) in enumerate(_slots_and_spaces(model, theory)):
+                    report = model.cohomology(theory, slot)
+                    if k % 2:
+                        assert len(report.basis) == report.dimension
+            refs = weakref.ref(model), weakref.ref(model.coframe)
+            del model, report
+            assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_reports_compare_by_rows():
+    def tables(model):
+        return {(theory, slot): model.cohomology(theory, slot)
+                for theory in THEORIES
+                for slot, _ in _slots_and_spaces(model, theory)}
+
+    first = tables(nakamura(Fraction(1, 2)).model)
+    assert first == tables(nakamura(Fraction(1, 2)).model)
+    # the Kodaira surface with the roles of w1 and w2 swapped: the same
+    # dimensions, and other bases at some slots
+    model = kodaira()
+    cf = model.coframe
+    swapped = StructureModel(cf, {"w1": cf.monomial_form(("w2", "wb2")),
+                                  "wb1": -cf.monomial_form(("w2", "wb2"))})
+    ours, theirs = tables(model), tables(swapped)
+    for key, report in ours.items():
+        assert report.dimension == theirs[key].dimension, key
+        assert (report == theirs[key]) == (report.basis == theirs[key].basis), key
+    assert ours != theirs
 
 
 def test_full_tables_leave_the_image_memo_as_built():
