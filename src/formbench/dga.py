@@ -104,10 +104,10 @@ class LambdaMap:
     matrix: tuple
 
     def rank(self):
+        # the rows are the image columns of the transpose, of the same rank
         rows = [_integer_terms({c: x for c, x in enumerate(row) if x})[0]
                 for row in self.matrix]
-        n = self.source.dimension
-        return n - len(linalg.nullspace(rows, n))
+        return len(rows) - len(linalg.nullspace([rows]))
 
     def is_zero(self):
         return all(not x for row in self.matrix for x in row)
@@ -335,16 +335,9 @@ class StructureModel:
         if cached is not None:
             return cached
         space = self._space(slot)
-        stacked = []  # rows of the cocycle operators; images are columns
-        for step in OPERATORS[theory][0]:
-            rows = {}
-            for col, image in enumerate(self._images(slot, step)):
-                for r, value in image.items():
-                    rows.setdefault(r, {})[col] = value
-            stacked += rows.values()
-        cocycles = linalg.nullspace(stacked, len(space))
-        boundaries = self._boundary_vectors(theory, slot)
-        reps = linalg.quotient_representatives(cocycles, boundaries)
+        reps = linalg.quotient_representatives(
+            [self._images(slot, step) for step in OPERATORS[theory][0]],
+            self._boundary_vectors(theory, slot))
         rows = tuple([(s, *[v for c in sorted(row) for v in (space[c], *row[c])])
                       for s, row in reps])
         report = CohomologyReport(theory, slot, len(rows), rows, self.coframe)

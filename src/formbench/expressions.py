@@ -88,7 +88,7 @@ class _Parser:
             kind, op = self.peek()
             if kind == "op" and op == "*":
                 self.take()
-                value = _mul(value, self.factor())
+                value = value * self.factor()
             else:
                 break
         if negate:
@@ -155,14 +155,6 @@ class _Parser:
             else:
                 break
         return self.coframe.monomial_form(names)
-
-
-def _mul(a, b):
-    if isinstance(a, Form):
-        return a.wedge(b) if isinstance(b, Form) else a.scaled(b)
-    if isinstance(b, Form):
-        return b.scaled(a)
-    return a * b
 
 
 def _add(a, b, subtract=False):

@@ -1,20 +1,22 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Dense matrices are lists of row lists of GaussianRational; ``rref`` and
-``solve`` work on them.  The cohomology tables use ``nullspace`` and
-``quotient_representatives``, which take and return sparse Gaussian-integer
-rows ``{column: (re, im)}`` holding only the nonzero entries.  Both clear a
-pivot by cross-multiplication and keep each echelon row primitive with a
-positive-integer pivot, so no fraction is formed.  A returned row is a
+``solve`` work on them.  The cohomology tables use
+``quotient_representatives``, which takes each operator as its image columns
+and returns the kernel modulo the boundaries from one echelon, all sparse
+Gaussian-integer rows ``{column: (re, im)}`` holding only the nonzero
+entries; ``nullspace`` is its case without boundaries.  The elimination
+clears a pivot by cross-multiplication and keeps each echelon row primitive
+with a positive-integer pivot, so no fraction is formed.  A returned row is a
 positive integer multiple of the vector the reduced row echelon form over
 Q(i) gives, which changes no kernel and no span; the caller divides once.
-Elimination pivots on the first nonzero entry in column order; there is no
+Elimination pivots on the first nonzero entry in key order; there is no
 numerical tolerance anywhere in the package.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from .scalars import ONE, ZERO
 
@@ -94,29 +96,11 @@ def _primitive(v):
     return pivot, s, v
 
 
-def nullspace(rows, n_cols):
-    """A basis of the kernel of the Gaussian-integer rows acting on column
-    vectors of length n_cols: one row per free column f of the reduced row
-    echelon form, in column order, each a positive integer multiple of the
-    kernel vector that is 1 at f and 0 at the other free columns."""
-    reduced = {}  # pivot column -> (s, row): s there and 0 at other pivots
-    for vec in rows:
-        v = _eliminate(vec, reduced.items())
-        if v:
-            pivot, s, v = _primitive(v)
-            for p, (_, row) in reduced.items():
-                if pivot in row:
-                    reduced[p] = _primitive(_eliminate(row, [(pivot, (s, v))]))[1:]
-            reduced[pivot] = (s, v)
-    basis = []
-    for f in range(n_cols):
-        if f not in reduced:
-            hits = [(p, s, row[f]) for p, (s, row) in reduced.items() if f in row]
-            m = lcm(*(s for _, s, _ in hits))
-            vec = {p: (-x * (m // s), -y * (m // s)) for p, s, (x, y) in hits}
-            vec[f] = (m, 0)
-            basis.append(vec)
-    return basis
+def nullspace(operators):
+    """A basis of the common kernel of the operators, given as in
+    ``quotient_representatives``: one primitive Gaussian-integer row per
+    dependent column, in column order."""
+    return [row for _, row in quotient_representatives(operators, [])]
 
 
 def solve(matrix, rhs):
@@ -134,25 +118,40 @@ def solve(matrix, rhs):
     return x
 
 
-def quotient_representatives(cocycles, boundaries):
-    """Representatives of span(cocycles) modulo span(boundaries), all
-    Gaussian-integer rows.
+def quotient_representatives(operators, boundaries):
+    """Representatives of the common kernel of the operators modulo
+    span(boundaries), as Gaussian-integer rows from one echelon.
 
-    Reduces each cocycle against an echelon of the boundaries.  Each nonzero
-    remainder is returned as a pair (s, row): a primitive row whose first
-    nonzero entry is the positive integer s, so that row / s is the
-    echelon-form representative, 1 at its first nonzero column.
+    ``operators[j][i]`` is the image {r: (re, im)} of basis vector i under
+    operator j.  The boundaries must lie in the common kernel, as they do
+    when d^2, delbar^2 and the deldelbar compositions vanish.  They go in
+    first; then each basis vector i, in order, goes in as 1 at i plus its
+    images under the keys ~(r * len(operators) + j), which sort below every
+    basis index and so pivot first.  A remainder whose images cancel is a
+    new class, returned as (s, row): primitive, with the positive integer s
+    at its first nonzero column, so that row / s is the echelon-form
+    representative.
     """
-    echelon = {}  # pivot column -> (s, row), in insertion order
+    width = len(operators)
+    echelon = {}  # pivot key -> (s, row), in insertion order
 
     def insert(vec):
+        """The pivot of vec's remainder, now in the echelon; -1 if it is 0."""
         v = _eliminate(vec, echelon.items())
         if not v:
-            return None
+            return -1
         pivot, s, row = _primitive(v)
         echelon[pivot] = (s, row)
-        return s, row
+        return pivot
 
     for b in boundaries:
         insert(b)
-    return list(filter(None, map(insert, cocycles)))
+    reps = []
+    for i, images in enumerate(zip(*operators)):
+        vec = {~(r * width + j): xy
+               for j, image in enumerate(images) for r, xy in image.items()}
+        vec[i] = (1, 0)
+        pivot = insert(vec)
+        if pivot >= 0:
+            reps.append(echelon[pivot])
+    return reps

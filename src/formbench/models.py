@@ -160,6 +160,11 @@ def model_from_dict(document):
         generators.append(Generator(name, bidegree))
         mates.append((name, record.get("conjugate")))
     volume = document.get("volume")
+    if volume is not None:
+        names = [g.name for g in generators]
+        for name in _list(volume, "volume"):
+            if name not in names:
+                raise ParseError(f"undeclared generator {name!r}", field="volume")
     try:
         conjugates = {name: mate for name, mate in mates if mate is not None}
         coframe = Coframe(generators, table, conjugates=conjugates, volume=volume)
@@ -179,6 +184,10 @@ def model_from_dict(document):
         if target not in coframe.position:
             raise ParseError(
                 f"undeclared generator {target!r}", field="differentials"
+            )
+        if target in differentials:
+            raise ParseError(
+                f"a second record for generator {target!r}", field="differentials"
             )
         total = coframe.zero_form()
         for term in terms:

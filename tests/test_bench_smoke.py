@@ -7,6 +7,7 @@ benchmark reaches only when a check fails are looked up statically."""
 
 import ast
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -45,6 +46,19 @@ def test_benchmark_workloads_run_one_operation_each():
         cwd=BENCH, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_traced_cohomology_pass_is_correct():
+    # the tracer wraps linalg and dga functions by name and reads their
+    # arguments, which no other test exercises
+    done = subprocess.run(
+        [sys.executable, "run.py", "--workload", "cohomology", "--seed", "7",
+         "--seconds", "1", "--trace", "1"],
+        cwd=BENCH, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
 
 
 def _dotted(node):

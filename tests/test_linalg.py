@@ -25,16 +25,50 @@ def random_matrix(rng, rows, cols):
     return [[gaussian(rng) for _ in range(cols)] for _ in range(rows)]
 
 
+def image_columns(rows, n):
+    """Sparse rows as the n image columns {row: value} of one operator."""
+    return [{r: row[c] for r, row in enumerate(rows) if c in row}
+            for c in range(n)]
+
+
+def operators(rng, matrix, n):
+    """The dense matrix as two operators of image columns, its
+    Gaussian-integer rows split at a random point.  Each row is scaled by its
+    own denominators, which keeps the kernel."""
+    rows = [integer_row(row) for row in matrix]
+    k = rng.randint(0, len(rows))
+    return [image_columns(rows[:k], n), image_columns(rows[k:], n)]
+
+
+def kernel_combinations(rng, kernel, n, count, coefficient):
+    """count vectors inside span(kernel), each a sparse combination of the
+    kernel vectors, so some are zero and some repeat up to a factor."""
+    vectors = []
+    for _ in range(count):
+        vec = [ZERO] * n
+        for k in kernel:
+            if rng.random() < 0.4:
+                c = coefficient(rng)
+                vec = [a + c * b for a, b in zip(vec, k)]
+        vectors.append(vec)
+    return vectors
+
+
 def kernel_vectors(basis, n):
-    """Kernel rows divided by their entry at their last column, the free
-    column, which must be a positive integer: the dense kernel vectors that
-    are 1 there."""
+    """Kernel rows divided by their first nonzero entry, which must be a
+    positive integer: dense vectors that are 1 there."""
     vectors = []
     for vec in basis:
-        s, zero = vec[max(vec)]
+        s, zero = vec[min(vec)]
         assert type(s) is int and s > 0 and zero == 0
         vectors.append(dense(divided(s, vec), n))
     return vectors
+
+
+def echelon_kernel(matrix, n):
+    """The kernel basis the sparse elimination returns, from the dense
+    references: the rref kernel in echelon form, 1 at each first entry."""
+    return reference_quotient_representatives(reference_nullspace(matrix, n), [])
 
 
 def representatives(reps, n):
@@ -64,14 +98,15 @@ def test_nullspace_vectors_annihilate():
     for _ in range(25):
         matrix = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
         n = len(matrix[0])
-        basis = linalg.nullspace([integer_row(row) for row in matrix], n)
+        rows = [integer_row(row) for row in matrix]
+        basis = linalg.nullspace([image_columns(rows, n)])
         assert len(basis) == n - rank(matrix)
         for vec in kernel_vectors(basis, n):
             assert all(not x for x in mat_vec(matrix, vec))
 
 
 def test_nullspace_of_empty_matrix():
-    assert len(linalg.nullspace([], 3)) == 3
+    assert len(linalg.nullspace([[{}, {}, {}]])) == 3
 
 
 def test_solve_consistent_and_inconsistent():
@@ -108,12 +143,15 @@ def test_determinant_ring_matches_field_version():
 def test_quotient_representatives():
     e1 = {0: (1, 0)}
     e2 = {1: (1, 0)}
-    e12 = {0: (1, 0), 1: (1, 0)}
-    reps = linalg.quotient_representatives([e1, e2, e12], [e1])
-    assert reps == [(1, e2)]
-    # no boundaries: representatives span the cocycles
-    reps = linalg.quotient_representatives([e1, e12], [])
-    assert len(reps) == 2
+    zero = [[{}, {}]]  # the zero operator on a two-dimensional space
+    assert linalg.quotient_representatives(zero, [e1]) == [(1, e2)]
+    # no boundaries: representatives span the kernel
+    assert len(linalg.quotient_representatives(zero, [])) == 2
+    total = [[{0: (1, 0)}, {0: (1, 0)}]]  # (x, y) -> x + y
+    difference = {0: (1, 0), 1: (-1, 0)}
+    assert linalg.quotient_representatives(total, []) == [(1, difference)]
+    assert linalg.quotient_representatives(
+        total, [{0: (2, 0), 1: (-2, 0)}]) == []
 
 
 def random_sparse_matrix(rng, rows, cols, density):
@@ -154,19 +192,18 @@ def test_sparse_elimination_matches_dense_reference():
     for n in (1, 5, 9):
         cases.append((full_rank_matrix(rng, n, 0.3), n))
     for matrix, n in cases:
-        basis = linalg.nullspace([integer_row(row) for row in matrix], n)
-        assert kernel_vectors(basis, n) == reference_nullspace(matrix, n)
+        ops = operators(rng, matrix, n)
+        basis = linalg.nullspace(ops)
+        assert kernel_vectors(basis, n) == echelon_kernel(matrix, n)
         assert_integer_rows(basis)
 
-        boundaries = random_sparse_matrix(rng, rng.randint(0, 6), n, 0.3)
-        cocycles = reference_nullspace(matrix, n)
-        cocycles += [[a + b for a, b in zip(x, y)]
-                     for x, y in zip(cocycles, boundaries)]
+        kernel = reference_nullspace(matrix, n)
+        boundaries = kernel_combinations(rng, kernel, n, rng.randint(0, 6),
+                                         nonzero_gaussian)
         reps = linalg.quotient_representatives(
-            [integer_row(z) for z in cocycles],
-            [integer_row(b) for b in boundaries])
+            ops, [integer_row(b) for b in boundaries])
         assert representatives(reps, n) == reference_quotient_representatives(
-            cocycles, boundaries
+            kernel, boundaries
         )
 
 
@@ -227,19 +264,18 @@ def test_integer_row_elimination_matches_dense_reference():
     for _ in range(30):
         cols = rng.randint(1, 7)
         matrix = hard_matrix(rng, rng.randint(1, 7), cols)
-        basis = linalg.nullspace([integer_row(row) for row in matrix], cols)
-        assert kernel_vectors(basis, cols) == reference_nullspace(matrix, cols)
+        ops = operators(rng, matrix, cols)
+        basis = linalg.nullspace(ops)
+        assert kernel_vectors(basis, cols) == echelon_kernel(matrix, cols)
         assert_integer_rows(basis)
 
-        boundaries = hard_matrix(rng, rng.randint(0, 4), cols)
-        cocycles = hard_matrix(rng, rng.randint(1, 5), cols)
-        cocycles += [[x + wide_gaussian(rng) * y for x, y in zip(z, b)]
-                     for z, b in zip(cocycles, boundaries)]
+        kernel = reference_nullspace(matrix, cols)
+        boundaries = kernel_combinations(rng, kernel, cols, rng.randint(0, 4),
+                                         wide_gaussian)
         reps = linalg.quotient_representatives(
-            [integer_row(z) for z in cocycles],
-            [integer_row(b) for b in boundaries])
+            ops, [integer_row(b) for b in boundaries])
         assert representatives(reps, cols) == reference_quotient_representatives(
-            cocycles, boundaries
+            kernel, boundaries
         )
         rows = [row for _, row in reps]
         assert_integer_rows(rows)
@@ -249,17 +285,19 @@ def test_integer_row_elimination_matches_dense_reference():
 
 
 def test_integer_row_elimination_leaves_inputs_alone():
-    # unit rows come first, so echelon rows with pivot s = 1 exist; that is
-    # where the elimination works on a row in place
+    # unit boundaries come first, so echelon rows with pivot s = 1 exist;
+    # that is where the elimination works on a row in place
     rng = random.Random(103)
-    units = [[ONE if c == j else ZERO for c in range(7)] for j in (0, 2, 5)]
-    matrix = units + hard_matrix(rng, 3, 7)
-    rows = [integer_row(row) for row in matrix]
-    copies = [dict(row) for row in rows]
-    kernel = linalg.nullspace(rows, 7)
+    matrix = [[ZERO if c in (0, 2, 5) else x for c, x in enumerate(row)]
+              for row in hard_matrix(rng, 3, 7)]
+    ops = operators(rng, matrix, 7)
+    units = [{c: (1, 0)} for c in (0, 2, 5)]
+    copies = [[dict(image) for image in op] for op in ops]
+    kernel = linalg.nullspace(ops)
     kernel_copies = [dict(v) for v in kernel]
-    assert kernel
-    linalg.quotient_representatives(rows[3:], rows[:3])
-    linalg.quotient_representatives(kernel, rows[:3])
-    assert rows == copies
+    assert len(kernel) > 3
+    linalg.quotient_representatives(ops, units)
+    linalg.quotient_representatives(ops, kernel)
+    assert ops == copies
+    assert units == [{c: (1, 0)} for c in (0, 2, 5)]
     assert kernel == kernel_copies

@@ -242,10 +242,39 @@ def test_load_model_unhashable_names():
           "differentials": [{"generator": "g1",
                              "terms": [{"coefficient": "1", "monomial": 5}]}]},
          "differentials: monomial must be a list"),
+        ({"generators": generators, "volume": "g1g2"},
+         "volume: volume must be a list"),
+        ({"generators": generators, "volume": 5},
+         "volume: volume must be a list"),
+        ({"generators": generators, "volume": ["g1", "g3"]},
+         "volume: undeclared generator 'g3'"),
+        ({"generators": generators, "volume": ["g1", ["g2"]]},
+         r"volume: undeclared generator \['g2'\]"),
     ]
     for document, message in documents:
         with pytest.raises(ParseError, match=message):
             model_from_dict(document)
+
+
+def test_load_model_rejects_a_second_differential_record():
+    # an empty second record for x2 would otherwise replace d(x2) = x1^xb1
+    # and load the torus
+    document = {
+        "generators": [{"name": "x1", "bidegree": [1, 0]},
+                       {"name": "x2", "bidegree": [1, 0]},
+                       {"name": "xb1", "bidegree": [0, 1]},
+                       {"name": "xb2", "bidegree": [0, 1]}],
+        "differentials": [
+            {"generator": "x2",
+             "terms": [{"coefficient": "1", "monomial": ["x1", "xb1"]}]},
+            {"generator": "x2", "terms": []},
+        ],
+    }
+    with pytest.raises(ParseError,
+                       match="differentials: a second record for generator 'x2'"):
+        model_from_dict(document)
+    document["differentials"].pop()
+    assert model_from_dict(document).betti(1) == 3
 
 
 def test_model_without_volume_still_computes():
