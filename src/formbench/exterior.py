@@ -327,7 +327,7 @@ class Form:
         if coeff == minus_one:
             return "-"
         text = str(coeff)
-        if len(coeff.terms) > 1 or ("+" in text or "-" in text[1:]):
+        if len(coeff.ints) > 1 or ("+" in text or "-" in text[1:]):
             return f"({text})*"
         return f"{text}*"
 
@@ -337,7 +337,7 @@ class Form:
         for mon, coeff in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0])):
             body = "^".join(names[p] for p in mon)
             if not body:
-                pieces.append(str(coeff) if len(coeff.terms) == 1 else f"({coeff})")
+                pieces.append(str(coeff) if len(coeff.ints) == 1 else f"({coeff})")
                 continue
             pieces.append(f"{self._coefficient_text(coeff)}{body}")
         return join_terms(pieces)

@@ -13,16 +13,12 @@ module instead of a bespoke minor expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .exterior import Coframe, Generator
-from .scalars import (
-    GaussianRational,
-    PolyScalar,
-    VariableTable,
-    _fraction_gcd,
-    rational_content,
-)
+from .scalars import GaussianRational, PolyScalar, VariableTable, rational_content
 
 
 @dataclass(frozen=True)
@@ -38,7 +34,7 @@ class PlueckerCurve:
             {
                 sum(e)
                 for poly in self.coordinates.values()
-                for e in poly.terms
+                for e in poly.ints
             }
         )
 
@@ -54,7 +50,7 @@ class PlueckerCurve:
         if poly is None or not poly:
             raise ValueError("the distinguished coordinate vanishes identically")
         index = poly.table.index("a")
-        return min(e[index] for e in poly.terms)
+        return min(e[index] for e in poly.ints)
 
 
 def pluecker_curve(n):
@@ -97,19 +93,17 @@ def _remove_content(coordinates, table):
     polys = [p for p in coordinates.values() if p]
     if not polys:
         return coordinates
-    content = None
-    for poly in polys:
-        c = rational_content(poly)
-        content = c if content is None else _fraction_gcd(content, c)
+    contents = [rational_content(poly) for poly in polys]
     n_vars = len(table.names)
     common = [None] * n_vars
     for poly in polys:
-        for exps in poly.terms:
+        for exps in poly.ints:
             for k in range(n_vars):
                 low = common[k]
                 common[k] = exps[k] if low is None else min(low, exps[k])
     shift = tuple(common)
-    inv = GaussianRational(1 / content)
+    inv = GaussianRational(Fraction(lcm(*(c.denominator for c in contents)),
+                                    gcd(*(c.numerator for c in contents))))
     reduced = {}
     for key, poly in coordinates.items():
         terms = {

@@ -159,9 +159,9 @@ def model_from_dict(document):
             ) from exc
         generators.append(Generator(name, bidegree))
         mates.append((name, record.get("conjugate")))
+    names = [g.name for g in generators]  # a list: a name may be unhashable
     volume = document.get("volume")
     if volume is not None:
-        names = [g.name for g in generators]
         for name in _list(volume, "volume"):
             if name not in names:
                 raise ParseError(f"undeclared generator {name!r}", field="volume")
@@ -181,7 +181,7 @@ def model_from_dict(document):
                 "differential records need generator and terms",
                 field="differentials",
             ) from exc
-        if target not in coframe.position:
+        if target not in names:
             raise ParseError(
                 f"undeclared generator {target!r}", field="differentials"
             )
@@ -199,7 +199,7 @@ def model_from_dict(document):
                     "terms need coefficient and monomial", field="differentials"
                 ) from exc
             for gen_name in monomial:
-                if gen_name not in coframe.position:
+                if gen_name not in names:
                     raise ParseError(
                         f"undeclared generator {gen_name!r} in d({target})",
                         field="differentials",

@@ -1,6 +1,12 @@
 """Exact coefficient arithmetic: Gaussian rationals extended by named formal
 parameters with a conjugation involution.
 
+A polynomial is stored as Gaussian-integer numerators over one positive
+denominator, in lowest terms, so its ring operations run on Python ints and
+build no Fraction; a GaussianRational of two Fractions is made only where a
+single coefficient is read (``terms``, ``constant_value``, ``substitute``,
+rendering).
+
 Everything here is immutable after construction and safe to share between
 threads; all operations return fresh values.
 """
@@ -8,7 +14,9 @@ threads; all operations return fresh values.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import add
 
 from .errors import ConjugationMismatch, UnknownVariable
 
@@ -212,31 +220,25 @@ class VariableTable:
         return self._conj.get(name)
 
     def zero(self):
-        return PolyScalar(self, {})
+        return _poly(self, 1, {})
 
     def one(self):
         return self.constant(1)
 
     def constant(self, value):
-        value = GaussianRational.of(value)
-        if not value:
-            return self.zero()
-        return PolyScalar(self, {(0,) * len(self.names): value})
+        return PolyScalar(self, {(0,) * len(self.names): GaussianRational.of(value)})
 
     def variable(self, name, power=1):
         return self.monomial({name: power})
 
     def monomial(self, exponents, coefficient=1):
         """The scalar monomial coefficient * prod(var**exp)."""
-        coefficient = GaussianRational.of(coefficient)
-        if not coefficient:
-            return self.zero()
         exps = [0] * len(self.names)
         for name, e in exponents.items():
             if e < 0:
                 raise ValueError("exponents must be nonnegative")
             exps[self.index(name)] += e
-        return PolyScalar(self, {tuple(exps): coefficient})
+        return PolyScalar(self, {tuple(exps): GaussianRational.of(coefficient)})
 
     def coerce(self, value):
         if isinstance(value, PolyScalar):
@@ -249,26 +251,34 @@ class VariableTable:
 class PolyScalar:
     """A multivariate polynomial over Q(i) in the variables of a table.
 
-    Terms map exponent tuples to nonzero GaussianRational coefficients;
-    equality is equality of term maps.
+    Stored as Gaussian-integer numerators over one denominator: ``ints``
+    maps exponent tuples to (re, im) integer pairs, none of them (0, 0), and
+    ``den`` is a positive integer with gcd(den, every part) = 1.  The form
+    is canonical, so equality compares (den, ints).  ``terms`` is the
+    {exponents: GaussianRational} view, built on each read; the constructor
+    takes such a map.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "den", "ints")
 
-    def __init__(self, table, terms):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(
-            self, "terms", {e: c for e, c in terms.items() if c}
-        )
+    def __new__(cls, table, terms):
+        ints, den = _integer_terms(terms)
+        return _poly(table, den, ints)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyScalar is immutable")
+
+    @property
+    def terms(self):
+        den = self.den
+        return {e: GaussianRational(Fraction(re, den), Fraction(im, den))
+                for e, (re, im) in self.ints.items()}
 
     # -- ring structure ----------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, PolyScalar):
-            if other.table != self.table:
+            if other.table is not self.table and other.table != self.table:
                 raise ValueError("scalars over different variable tables")
             return other
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -279,19 +289,20 @@ class PolyScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, ZERO) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return PolyScalar(self.table, terms)
+        den = lcm(self.den, other.den)
+        k = den // self.den
+        ints = {e: (a * k, b * k) for e, (a, b) in self.ints.items()}
+        k = den // other.den
+        for e, (c, d) in other.ints.items():
+            a, b = ints.get(e, (0, 0))
+            ints[e] = (a + c * k, b + d * k)
+        return _reduced(self.table, den, ints)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyScalar(self.table, {e: -c for e, c in self.terms.items()})
+        return _poly(self.table, self.den,
+                     {e: (-a, -b) for e, (a, b) in self.ints.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -306,20 +317,14 @@ class PolyScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        left, left_den = _integer_terms(self.terms)
-        right, right_den = _integer_terms(other.terms)
-        right = right.items()
+        right = other.ints.items()
         sums = {}
-        for e1, (a, b) in left.items():
+        for e1, (a, b) in self.ints.items():
             for e2, (c, d) in right:
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 re, im = sums.get(e, (0, 0))
                 sums[e] = (re + a * c - b * d, im + a * d + b * c)
-        den = left_den * right_den
-        return PolyScalar(self.table, {
-            e: GaussianRational(Fraction(re, den), Fraction(im, den))
-            for e, (re, im) in sums.items() if re or im
-        })
+        return _reduced(self.table, self.den * other.den, sums)
 
     __rmul__ = __mul__
 
@@ -327,32 +332,33 @@ class PolyScalar:
         return binary_power(self, k, self.table.one())
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.ints)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.ints == other.ints
 
     __hash__ = None
 
     # -- structure ---------------------------------------------------------
 
     def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.ints)
 
     def constant_value(self):
         """The value of a constant polynomial as a GaussianRational."""
-        if not self.terms:
+        if not self.ints:
             return ZERO
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        (re, im), = self.ints.values()
+        return GaussianRational(Fraction(re, self.den), Fraction(im, self.den))
 
     def variables_used(self):
         used = set()
-        for e in self.terms:
+        for e in self.ints:
             for i, k in enumerate(e):
                 if k:
                     used.add(self.table.names[i])
@@ -363,11 +369,9 @@ class PolyScalar:
         variable."""
         i = self.table.index(name)
         split = {}
-        for e, c in self.terms.items():
-            reduced = e[:i] + (0,) + e[i + 1:]
-            bucket = split.setdefault(e[i], {})
-            bucket[reduced] = bucket.get(reduced, ZERO) + c
-        return {k: PolyScalar(self.table, t) for k, t in split.items()}
+        for e, c in self.ints.items():
+            split.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+        return {k: _reduced(self.table, self.den, t) for k, t in split.items()}
 
     # -- involution and evaluation ------------------------------------------
 
@@ -375,8 +379,8 @@ class PolyScalar:
         """Antilinear involution: conjugate coefficients and swap each
         variable with its declared conjugate."""
         perm = self.table._conj_index
-        terms = {}
-        for e, c in self.terms.items():
+        ints = {}
+        for e, (a, b) in self.ints.items():
             new = [0] * len(e)
             for i, k in enumerate(e):
                 if not k:
@@ -387,8 +391,8 @@ class PolyScalar:
                         f"{self.table.names[i]} has no conjugation declaration"
                     )
                 new[j] = k
-            terms[tuple(new)] = c.conjugate()
-        return PolyScalar(self.table, terms)
+            ints[tuple(new)] = (a, -b)
+        return _poly(self.table, self.den, ints)
 
     def substitute(self, assignment):
         """Evaluate some variables at exact values; unassigned variables stay
@@ -417,20 +421,13 @@ class PolyScalar:
         by_index = {table.index(n): v for n, v in resolved.items()}
         terms = {}
         for e, c in self.terms.items():
-            coeff = c
             new = list(e)
             for i, k in enumerate(e):
                 if k and i in by_index:
-                    coeff = coeff * by_index[i] ** k
+                    c = c * by_index[i] ** k
                     new[i] = 0
-            if not coeff:
-                continue
             key = tuple(new)
-            s = terms.get(key, ZERO) + coeff
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
+            terms[key] = terms.get(key, ZERO) + c
         return PolyScalar(table, terms)
 
     # -- rendering -----------------------------------------------------------
@@ -479,33 +476,64 @@ def join_terms(pieces):
 
 
 def _integer_terms(terms):
-    """A {key: GaussianRational} map as a {key: (re, im)} map of
-    Gaussian-integer numerators over one common denominator, and that
-    denominator."""
+    """The nonzero entries of a {key: GaussianRational} map as a
+    {key: (re, im)} map of Gaussian-integer numerators over one common
+    denominator, and that denominator; its gcd with all the parts is 1."""
     den = 1
     for c in terms.values():
         den = lcm(den, c.re.denominator, c.im.denominator)
     return {
         e: (c.re.numerator * (den // c.re.denominator),
             c.im.numerator * (den // c.im.denominator))
-        for e, c in terms.items()
+        for e, c in terms.items() if c
     }, den
 
 
 def rational_content(poly):
     """The positive rational content of a nonzero polynomial: the largest
     c with poly/c having coprime integer Gaussian coefficients."""
-    num = 0
-    den = 1
-    for coeff in poly.terms.values():
-        for part in (coeff.re, coeff.im):
-            if part == 0:
-                continue
-            num = gcd(num, abs(part.numerator))
-            den = den * part.denominator // gcd(den, part.denominator)
+    num = _content(poly)
     if num == 0:
         raise ValueError("zero polynomial has no content")
-    return Fraction(num, den)
+    return Fraction(num, poly.den)
+
+
+def _content(poly):
+    """The gcd of every numerator part of a polynomial; 0 for zero."""
+    return gcd(*chain.from_iterable(poly.ints.values()))
+
+
+def _divided(poly, g, den):
+    """poly * den / g as an integer polynomial, for den a multiple of
+    poly.den and g a divisor of every part."""
+    k = den // poly.den
+    return _poly(poly.table, 1,
+                 {e: (a // g * k, b // g * k) for e, (a, b) in poly.ints.items()})
+
+
+_set = object.__setattr__
+
+
+def _poly(table, den, ints):
+    """A PolyScalar from parts already in canonical form."""
+    poly = object.__new__(PolyScalar)
+    _set(poly, "table", table)
+    _set(poly, "den", den)
+    _set(poly, "ints", ints)
+    return poly
+
+
+def _reduced(table, den, ints):
+    """The PolyScalar ints / den in canonical form: (0, 0) entries dropped
+    and the gcd of den and every part divided out."""
+    ints = {e: p for e, p in ints.items() if p != (0, 0)}
+    g = den
+    for re, im in ints.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            return _poly(table, den, ints)
+    return _poly(table, den // g,
+                 {e: (re // g, im // g) for e, (re, im) in ints.items()})
 
 
 class ScalarFraction:
@@ -526,13 +554,11 @@ class ScalarFraction:
         if not denominator:
             raise ZeroDivisionError("zero denominator")
         if numerator:
-            common = _fraction_gcd(
-                rational_content(numerator), rational_content(denominator)
-            )
-            if common != 1:
-                inv = GaussianRational(1 / common)
-                numerator = numerator * inv
-                denominator = denominator * inv
+            g = gcd(_content(numerator), _content(denominator))
+            den = lcm(numerator.den, denominator.den)
+            if g != 1 or den != 1:
+                numerator = _divided(numerator, g, den)
+                denominator = _divided(denominator, g, den)
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
 
@@ -614,13 +640,6 @@ class ScalarFraction:
 
     def __repr__(self):
         return f"<ScalarFraction {self}>"
-
-
-def _fraction_gcd(a, b):
-    return Fraction(
-        gcd(a.numerator, b.numerator),
-        a.denominator * b.denominator // gcd(a.denominator, b.denominator),
-    )
 
 
 def substitute_fraction(poly, name, replacement):

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: seeded random exact values and forms."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from formbench.linalg import rref
 from formbench.scalars import ONE, ZERO, GaussianRational, PolyScalar
@@ -63,6 +63,58 @@ def schoolbook_product(left, right):
             else:
                 terms.pop(e, None)
     return PolyScalar(left.table, terms)
+
+
+def schoolbook_sum(left, right):
+    """The sum of two polynomials term by term in Q(i), an independent route
+    for the integer kernel of PolyScalar.__add__."""
+    terms = dict(left.terms)
+    for e, c in right.terms.items():
+        terms[e] = terms.get(e, ZERO) + c
+    return PolyScalar(left.table, terms)
+
+
+def schoolbook_substitute(poly, values):
+    """A polynomial with the variables of ``values`` set to exact numbers,
+    term by term in Q(i); no conjugate value is implied."""
+    table = poly.table
+    at = {table.index(name): GaussianRational.of(v) for name, v in values.items()}
+    terms = {}
+    for e, c in poly.terms.items():
+        for i, k in enumerate(e):
+            if i in at:
+                c = c * at[i] ** k
+        key = tuple(0 if i in at else k for i, k in enumerate(e))
+        terms[key] = terms.get(key, ZERO) + c
+    return PolyScalar(table, terms)
+
+
+def reference_rational_content(poly):
+    """The positive rational content of a nonzero polynomial, from the
+    Fraction parts of its coefficients."""
+    num = 0
+    den = 1
+    for coeff in poly.terms.values():
+        for part in (coeff.re, coeff.im):
+            if part == 0:
+                continue
+            num = gcd(num, abs(part.numerator))
+            den = den * part.denominator // gcd(den, part.denominator)
+    if num == 0:
+        raise ValueError("zero polynomial has no content")
+    return Fraction(num, den)
+
+
+def reference_content_removed(numerator, denominator):
+    """Both polynomials divided by the gcd of their rational contents, with
+    Fraction arithmetic: the content removal of ScalarFraction."""
+    a = reference_rational_content(numerator)
+    b = reference_rational_content(denominator)
+    common = Fraction(gcd(a.numerator, b.numerator),
+                      lcm(a.denominator, b.denominator))
+    inv = GaussianRational(1 / common)
+    return tuple(PolyScalar(p.table, {e: c * inv for e, c in p.terms.items()})
+                 for p in (numerator, denominator))
 
 
 def random_form(rng, model, degree=None, bidegree=None, max_terms=2):

@@ -242,6 +242,13 @@ def test_load_model_unhashable_names():
           "differentials": [{"generator": "g1",
                              "terms": [{"coefficient": "1", "monomial": 5}]}]},
          "differentials: monomial must be a list"),
+        ({"generators": generators,
+          "differentials": [{"generator": ["g1"], "terms": []}]},
+         r"differentials: undeclared generator \['g1'\]"),
+        ({"generators": generators,
+          "differentials": [{"generator": "g2",
+                             "terms": [{"coefficient": "1", "monomial": [["g1"]]}]}]},
+         r"differentials: undeclared generator \['g1'\] in d\(g2\)"),
         ({"generators": generators, "volume": "g1g2"},
          "volume: volume must be a list"),
         ({"generators": generators, "volume": 5},

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 
+import formbench.scalars as scalars
 from formbench.errors import ConjugationMismatch, UnknownVariable
 from formbench.scalars import (
     GaussianRational,
+    PolyScalar,
     ScalarFraction,
     VariableTable,
     binary_power,
@@ -16,7 +20,11 @@ from support import (
     gaussian,
     nonzero_gaussian,
     random_poly,
+    reference_content_removed,
+    reference_rational_content,
     schoolbook_product,
+    schoolbook_substitute,
+    schoolbook_sum,
     wide_poly,
 )
 
@@ -282,18 +290,21 @@ def product_cases(rng, table):
 
 
 def test_product_matches_schoolbook_and_sympy_routes():
+    # sums, differences and substitutions too, term by term in Q(i) and in
+    # sympy's QQ_I
     import sympy
 
     rng = random.Random(67)
     table = small_table()
     symbols = sympy.symbols(table.names)
+    t1, tb1, v = (symbols[table.index(n)] for n in ("t1", "tb1", "V"))
+
+    def to_number(value):
+        return sympy.Rational(value.re.numerator, value.re.denominator) + (
+            sympy.I * sympy.Rational(value.im.numerator, value.im.denominator))
 
     def to_sympy(poly):
-        terms = {
-            e: sympy.Rational(c.re.numerator, c.re.denominator)
-            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
-            for e, c in poly.terms.items()
-        }
+        terms = {e: to_number(c) for e, c in poly.terms.items()}
         return sympy.Poly.from_dict(terms, *symbols, domain=sympy.QQ_I)
 
     cancelled = 0
@@ -301,6 +312,21 @@ def test_product_matches_schoolbook_and_sympy_routes():
         got = left * right
         assert got.terms == schoolbook_product(left, right).terms
         assert to_sympy(left) * to_sympy(right) == to_sympy(got)
+        negated = PolyScalar(table, {e: -c for e, c in right.terms.items()})
+        for got, want, sym in ((left + right, schoolbook_sum(left, right),
+                                to_sympy(left) + to_sympy(right)),
+                               (left - right, schoolbook_sum(left, negated),
+                                to_sympy(left) - to_sympy(right))):
+            assert got.terms == want.terms
+            assert sym == to_sympy(got)
+        z = gaussian(rng)
+        q = GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        values = {"t1": z, "tb1": z.conjugate(), "V": q}
+        got = left.substitute({"t1": z, "V": q})
+        assert got.terms == schoolbook_substitute(left, values).terms
+        at = {t1: to_number(z), tb1: to_number(z.conjugate()), v: to_number(q)}
+        # got has no t1, tb1 or V left, so evaluating it at 0 only drops them
+        assert to_sympy(left).eval(at) == to_sympy(got).eval(dict.fromkeys(at, 0))
         assert all(
             isinstance(c, GaussianRational) and c for c in got.terms.values()
         )
@@ -310,6 +336,80 @@ def test_product_matches_schoolbook_and_sympy_routes():
         }
         cancelled += len(pairs) - len(got.terms)
     assert cancelled > 0
+
+
+def assert_canonical(poly):
+    """den > 0, no (0, 0) entry and gcd(den, every part) == 1."""
+    assert poly.den > 0
+    assert (0, 0) not in poly.ints.values()
+    assert gcd(poly.den, *chain.from_iterable(poly.ints.values())) == 1
+    return poly
+
+
+def test_canonical_form_on_every_route():
+    rng = random.Random(71)
+    table = VariableTable([("V", "V"), ("t1", "tb1"), ("t2", "tb2")])
+    for _ in range(60):
+        p, q, r = (wide_poly(rng, table) for _ in range(3))
+        # the first term of p, scaled, then cancelled again
+        head = PolyScalar(table, dict(list(p.terms.items())[:1]))
+        cancelling = p - head * Fraction(1, 3) - head * Fraction(2, 3)
+        values = {"t1": gaussian(rng), "V": Fraction(rng.randint(-9, 9), 4)}
+        ops = [PolyScalar(table, p.terms), p + q, p - q, -p, p * q, p ** 3,
+               p.conjugate(), p * Fraction(6, 7), cancelling, p - p,
+               p.substitute(values), *p.coefficients_in("t1").values()]
+        for result in ops:
+            assert_canonical(result)
+        zero = p - p
+        assert (zero.den, zero.ints) == (1, {})
+        routes = [((p + q) * r, p * r + q * r), (p ** 3, p * p * p),
+                  (PolyScalar(table, p.terms), p), (cancelling, p - head),
+                  ((p - q) + q, p), (-(-p), p),
+                  (p.conjugate().conjugate(), p), (p * q, q * p)]
+        for a, b in routes:
+            assert (a.den, a.ints) == (b.den, b.ints)
+        with pytest.raises(TypeError):
+            hash(p)
+
+
+def test_rational_content_matches_fraction_reference():
+    rng = random.Random(79)
+    table = small_table()
+    for _ in range(80):
+        scale = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        num = wide_poly(rng, table) * GaussianRational(scale)
+        den = wide_poly(rng, table, max_terms=2) + table.constant(nonzero_gaussian(rng))
+        if not num:
+            continue
+        assert rational_content(num) == reference_rational_content(num)
+        frac = ScalarFraction(num, den)
+        want = reference_content_removed(num, den)
+        assert (frac.numerator, frac.denominator) == want
+        assert frac.numerator.den == frac.denominator.den == 1
+
+
+def test_polynomial_arithmetic_makes_no_fraction(monkeypatch):
+    # the integer kernels of PolyScalar and ScalarFraction build no Fraction;
+    # reading terms or str() may
+    rng = random.Random(83)
+    table = small_table()
+    polys = [wide_poly(rng, table) + table.monomial({"t1": 1}, Fraction(1, 3))
+             for _ in range(12)]
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(scalars, "Fraction", CountingFraction)
+    for p, q, r in zip(polys, polys[1:], polys[2:]):
+        assert p * (q + r) == p * q + p * r
+        assert (p - q) + q == p
+        assert p.coefficients_in("t1")[1] * q != q
+        assert ScalarFraction(p * r, q * r) == ScalarFraction(p, q)
+        assert ScalarFraction(p, q) != ScalarFraction(p + r, q)
+    assert made == []
 
 
 def test_fraction_arithmetic():

@@ -160,10 +160,21 @@ def test_cli_model_check(tmp_path, capsys):
 
 
 def test_cli_model_check_bad_file(tmp_path, capsys):
+    generators = [{"name": "x1", "bidegree": [1, 0]},
+                  {"name": "x2", "bidegree": [0, 1]}]
+    term = {"coefficient": "1", "monomial": [["x1"]]}
+    documents = [
+        "{oops",
+        json.dumps({"generators": generators,
+                    "differentials": [{"generator": ["x1"], "terms": []}]}),
+        json.dumps({"generators": generators,
+                    "differentials": [{"generator": "x2", "terms": [term]}]}),
+    ]
     path = tmp_path / "broken.json"
-    path.write_text("{oops")
-    assert main(["model", "check", str(path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    for text in documents:
+        path.write_text(text)
+        assert main(["model", "check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_cohomology(tmp_path, capsys):
