@@ -13,12 +13,10 @@ module instead of a bespoke minor expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 
 from .exterior import Coframe, Generator
-from .scalars import GaussianRational, PolyScalar, VariableTable, rational_content
+from .scalars import PolyScalar, VariableTable, without_content
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,6 @@ def _remove_content(coordinates, table):
     polys = [p for p in coordinates.values() if p]
     if not polys:
         return coordinates
-    contents = [rational_content(poly) for poly in polys]
     n_vars = len(table.names)
     common = [None] * n_vars
     for poly in polys:
@@ -102,12 +99,10 @@ def _remove_content(coordinates, table):
                 low = common[k]
                 common[k] = exps[k] if low is None else min(low, exps[k])
     shift = tuple(common)
-    inv = GaussianRational(Fraction(lcm(*(c.denominator for c in contents)),
-                                    gcd(*(c.numerator for c in contents))))
     reduced = {}
-    for key, poly in coordinates.items():
+    for key, poly in zip(coordinates, without_content(list(coordinates.values()))):
         terms = {
-            tuple(e - s for e, s in zip(exps, shift)): coeff * inv
+            tuple(e - s for e, s in zip(exps, shift)): coeff
             for exps, coeff in poly.terms.items()
         }
         reduced[key] = PolyScalar(table, terms)

@@ -159,7 +159,7 @@ def model_from_dict(document):
             ) from exc
         generators.append(Generator(name, bidegree))
         mates.append((name, record.get("conjugate")))
-    names = [g.name for g in generators]  # a list: a name may be unhashable
+    names = [g.name for g in generators]  # a list: a looked-up entry may be unhashable
     volume = document.get("volume")
     if volume is not None:
         for name in _list(volume, "volume"):

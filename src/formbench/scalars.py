@@ -503,6 +503,16 @@ def _content(poly):
     return gcd(*chain.from_iterable(poly.ints.values()))
 
 
+def without_content(polys):
+    """The polynomials divided by their common rational content, as integer
+    polynomials; at least one must be nonzero."""
+    g = gcd(*map(_content, polys))
+    den = lcm(*(poly.den for poly in polys))
+    if g == 1 and den == 1:
+        return polys
+    return [_divided(poly, g, den) for poly in polys]
+
+
 def _divided(poly, g, den):
     """poly * den / g as an integer polynomial, for den a multiple of
     poly.den and g a divisor of every part."""
@@ -554,11 +564,7 @@ class ScalarFraction:
         if not denominator:
             raise ZeroDivisionError("zero denominator")
         if numerator:
-            g = gcd(_content(numerator), _content(denominator))
-            den = lcm(numerator.den, denominator.den)
-            if g != 1 or den != 1:
-                numerator = _divided(numerator, g, den)
-                denominator = _divided(denominator, g, den)
+            numerator, denominator = without_content((numerator, denominator))
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
 

@@ -313,20 +313,22 @@ def test_product_matches_schoolbook_and_sympy_routes():
         assert got.terms == schoolbook_product(left, right).terms
         assert to_sympy(left) * to_sympy(right) == to_sympy(got)
         negated = PolyScalar(table, {e: -c for e, c in right.terms.items()})
-        for got, want, sym in ((left + right, schoolbook_sum(left, right),
-                                to_sympy(left) + to_sympy(right)),
-                               (left - right, schoolbook_sum(left, negated),
-                                to_sympy(left) - to_sympy(right))):
-            assert got.terms == want.terms
-            assert sym == to_sympy(got)
+        for total, want, sym in ((left + right, schoolbook_sum(left, right),
+                                  to_sympy(left) + to_sympy(right)),
+                                 (left - right, schoolbook_sum(left, negated),
+                                  to_sympy(left) - to_sympy(right))):
+            assert total.terms == want.terms
+            assert sym == to_sympy(total)
         z = gaussian(rng)
         q = GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         values = {"t1": z, "tb1": z.conjugate(), "V": q}
-        got = left.substitute({"t1": z, "V": q})
-        assert got.terms == schoolbook_substitute(left, values).terms
+        evaluated = left.substitute({"t1": z, "V": q})
+        assert evaluated.terms == schoolbook_substitute(left, values).terms
         at = {t1: to_number(z), tb1: to_number(z.conjugate()), v: to_number(q)}
-        # got has no t1, tb1 or V left, so evaluating it at 0 only drops them
-        assert to_sympy(left).eval(at) == to_sympy(got).eval(dict.fromkeys(at, 0))
+        # evaluated has no t1, tb1 or V left, so evaluating it at 0 only
+        # drops them
+        assert to_sympy(left).eval(at) == to_sympy(evaluated).eval(
+            dict.fromkeys(at, 0))
         assert all(
             isinstance(c, GaussianRational) and c for c in got.terms.values()
         )
