@@ -129,12 +129,10 @@ class StructureModel:
         self._differentials = diff
         self._d_terms = {pos: form.terms for pos, form in diff.items()}
         self._d_rows = None  # the differentials times D, on Gaussian integers
-        self._d_cache = {}
         self._d_row_cache = {}  # monomial -> D times its d, on Gaussian integers
         self._image_cache = {}  # (source slot, step) -> images
         self._reports = {}
         self._zero = coframe.zero_form()
-        self._one = coframe.table.one()
         self.validate()
 
     def __repr__(self):
@@ -149,35 +147,32 @@ class StructureModel:
 
     # -- the differential and its bidegree parts -----------------------------
 
-    def _d_monomial(self, monomial):
-        cached = self._d_cache.get(monomial)
-        if cached is not None:
-            return cached
-        terms = {}
-        for sign, mon, coeff in _leibniz_terms(monomial, self._d_terms):
-            coeff = coeff if sign > 0 else -coeff
-            old = terms.get(mon)
-            terms[mon] = coeff if old is None else old + coeff
-        total = Form(self.coframe, terms)
-        self._d_cache[monomial] = total
-        return total
-
     def _check_form(self, form):
         if form.coframe is not self.coframe:
             raise ModelMismatch("form belongs to a different model")
 
     def _leibniz(self, form, step=None):
-        """d of form by the graded Leibniz rule or, given a bidegree step
-        (dp, dq), the part of d that raises the bidegree by it."""
+        """d of form, the graded Leibniz terms of each monomial summed into one
+        term dict, a unit coefficient multiplying nothing; given a bidegree
+        step (dp, dq), only the terms in the source bidegree moved by step,
+        the part of d that raises the bidegree by it."""
         self._check_form(form)
-        out = self._zero
+        cf = self.coframe
+        one = cf.table.one()
+        terms = {}
         for mon, coeff in form.terms.items():
-            image = self._d_monomial(mon)
-            if step is not None:
-                p, q = self.coframe.monomial_bidegree(mon)
-                image = image.component(p + step[0], q + step[1])
-            out = out + (image if coeff == self._one else image.scaled(coeff))
-        return out
+            unit = coeff == one
+            target = None if step is None else _shift(cf.monomial_bidegree(mon), step)
+            for sign, m, c in _leibniz_terms(mon, self._d_terms):
+                if target is not None and cf.monomial_bidegree(m) != target:
+                    continue
+                if not unit:
+                    c = c * coeff
+                if sign < 0:
+                    c = -c
+                old = terms.get(m)
+                terms[m] = c if old is None else old + c
+        return Form(cf, terms)
 
     def d(self, form):
         """Graded Leibniz extension of the generator differentials."""

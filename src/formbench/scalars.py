@@ -418,17 +418,13 @@ class PolyScalar:
         for name, value in resolved.items():
             if table._conj.get(name) == name and value.im != 0:
                 raise ConjugationMismatch(f"{name} is real but got {value}")
-        by_index = {table.index(n): v for n, v in resolved.items()}
-        terms = {}
-        for e, c in self.terms.items():
-            new = list(e)
-            for i, k in enumerate(e):
-                if k and i in by_index:
-                    c = c * by_index[i] ** k
-                    new[i] = 0
-            key = tuple(new)
-            terms[key] = terms.get(key, ZERO) + c
-        return PolyScalar(table, terms)
+        result = self
+        for name, value in resolved.items():
+            total = table.zero()
+            for k, c in result.coefficients_in(name).items():
+                total = total + (c * value ** k if k else c)
+            result = total
+        return result
 
     # -- rendering -----------------------------------------------------------
 
@@ -487,15 +483,6 @@ def _integer_terms(terms):
             c.im.numerator * (den // c.im.denominator))
         for e, c in terms.items() if c
     }, den
-
-
-def rational_content(poly):
-    """The positive rational content of a nonzero polynomial: the largest
-    c with poly/c having coprime integer Gaussian coefficients."""
-    num = _content(poly)
-    if num == 0:
-        raise ValueError("zero polynomial has no content")
-    return Fraction(num, poly.den)
 
 
 def _content(poly):

@@ -144,7 +144,7 @@ def _scenario_torus4_gram():
     basis = bbf.standard_degree_two_basis(model)
     oracle = bbf.normalize_gram(space, bbf.gram_matrix(space, basis, mode="oracle"))
     closed = bbf.gram_matrix(space, basis, mode="closed_form")
-    orth = bbf.check_block_orthogonality(space)
+    orth = bbf.check_block_orthogonality(oracle)
     mu_norm = space.mu.constant_value().norm()
     y_entry = oracle.entries[6][11]  # <x1^xb1, x2^xb2>
     expected_y = ScalarFraction(

@@ -135,7 +135,7 @@ def test_criterion_03_four_torus_gram():
     for rep in range(10):
         values, space = _random_symplectic(rng, model)
         oracle = normalize_gram(space, gram_matrix(space, basis, mode="oracle"))
-        if not check_block_orthogonality(space).ok:
+        if not check_block_orthogonality(oracle).ok:
             failures.append(f"rep {rep}: block-zero pattern")
         denom = table.constant(
             space.mu.constant_value() * space.mu.constant_value().conjugate() * 2

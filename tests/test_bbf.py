@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import formbench.bbf as bbf
 from formbench.bbf import (
     AntisymmetricMatrix,
     GramMatrix,
@@ -25,7 +26,7 @@ from formbench.errors import (
     OddSize,
     UnsupportedBasis,
 )
-from formbench.exterior import Coframe, Generator
+from formbench.exterior import Coframe, Form, Generator
 from formbench.expressions import parse_form
 from formbench.models import (
     kodaira,
@@ -467,7 +468,8 @@ def test_block_orthogonality():
     rng = random.Random(103)
     for model in (torus(2), torus(4)):
         _, space = random_symplectic(rng, model)
-        report = check_block_orthogonality(space)
+        report = check_block_orthogonality(
+            gram_matrix(space, standard_degree_two_basis(model)))
         assert report.ok
         assert report.pairs_checked > 0
     # single stated pair on the 4-torus
@@ -477,6 +479,57 @@ def test_block_orthogonality():
     value = bilinear(space, cf.monomial_form(("x1", "x2")),
                      cf.monomial_form(("x1", "x3")))
     assert value == model.table.zero()
+
+
+def unit_torus4_gram():
+    model = torus(4)
+    sigma = sigma_from_lambda(model, {(1, 2): GaussianRational(1),
+                                      (3, 4): GaussianRational(1)})
+    return gram_matrix(make_symplectic(model, sigma),
+                       standard_degree_two_basis(model))
+
+
+def test_block_orthogonality_names_a_planted_entry():
+    gram = unit_torus4_gram()
+    report = check_block_orthogonality(gram)
+    # 28^2 entries less the (1,1) block and both (2,0)/(0,2) blocks
+    assert report.ok
+    assert report.pairs_checked == 28 ** 2 - 16 ** 2 - 2 * 6 ** 2
+    planted = ScalarFraction(gram.basis[0].coframe.table.constant(3))
+    entries = [list(row) for row in gram.entries]
+    entries[0][6] = planted  # x1^x2 against x1^xb1
+    report = check_block_orthogonality(
+        GramMatrix(gram.basis, tuple(map(tuple, entries))))
+    assert report.violations == (("x1^x2", "x1^xb1", "3"),)
+
+
+def test_block_orthogonality_on_kodaira_de_rham_basis():
+    _, gram = kodaira_oracle_gram()
+    assert [form.bidegree() for form in gram.basis] == [
+        (2, 0), (1, 1), (1, 1), (0, 2)]
+    report = check_block_orthogonality(gram)
+    assert report.ok
+    assert report.pairs_checked == 4 ** 2 - 2 ** 2 - 2
+
+
+def test_block_orthogonality_reads_entries_only(monkeypatch):
+    gram = unit_torus4_gram()
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Form, "wedge")
+    counted(Form, "integrate")
+    counted(bbf, "_combine")
+    assert check_block_orthogonality(gram).ok
+    assert calls == []
 
 
 # -- identities -----------------------------------------------------------------------
@@ -537,6 +590,15 @@ def test_vanishing_identity_validates_inputs():
     )
     with pytest.raises(ValueError):
         vanishing_identity(space, 1, model.coframe.monomial_form(("x1", "x2")), 0)
+
+
+def test_vanishing_identity_rejects_a_non_closed_alpha():
+    model = kodaira()
+    space = make_symplectic(model, kodaira_sigma(model))
+    alpha11 = model.coframe.monomial_form(("w2", "wb2"))
+    assert model.d(alpha11)
+    with pytest.raises(NotClosed, match="^alpha is not d-closed$"):
+        vanishing_identity(space, 1, alpha11, 0)
 
 
 def test_product_formula():

@@ -1,7 +1,11 @@
-"""The benchmark tracer patches package names by attribute; every name it
-lists must exist, or a traced run fails before it starts."""
+"""The benchmark reads package names by attribute: the tracer patches
+them and the workloads call them.  Every such name must exist, or a traced
+run fails before it starts and a workload fails at its first use of the
+name, perhaps only inside a failure message."""
 
+import importlib
 import importlib.util
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +16,11 @@ import formbench.linalg
 import formbench.models
 import formbench.scalars
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
+WORKLOAD_NAME = re.compile(
+    r"\b(?:pkg\.)?(bbf|dga|models|scalars|linalg|exterior|scenarios|cli)"
+    r"\.([A-Za-z_]\w*)")
 
 
 def _load_tracing():
@@ -38,5 +46,16 @@ def test_tracer_layout_names_exist():
         f"{getattr(owner, '__name__', owner)}.{attr}"
         for owner, attr, _ in entries
         if not callable(getattr(owner, attr, None))
+    ]
+    assert missing == []
+
+
+def test_workload_package_names_exist():
+    text = (BENCH / "workloads.py").read_text()
+    names = sorted(set(WORKLOAD_NAME.findall(text)))
+    assert ("bbf", "gram_discrepancies") in names
+    missing = [
+        f"{module}.{name}" for module, name in names
+        if not hasattr(importlib.import_module(f"formbench.{module}"), name)
     ]
     assert missing == []

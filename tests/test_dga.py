@@ -149,9 +149,9 @@ def test_leibniz_randomized():
 
 
 def test_unit_monomials_make_no_unit_products(monkeypatch):
-    # the tables apply the operators to unit monomials only: with the d cache
-    # warm, d, del_ and delbar multiply nothing, and deldelbar multiplies only
-    # by the coefficients of delbar(f), never by the unit
+    # a unit coefficient multiplies nothing: on unit monomials d, del_ and
+    # delbar make no product, and deldelbar multiplies only by the
+    # coefficients of delbar(f), never by the unit
     model = nakamura(Fraction(1, 2)).model
     cf = model.coframe
     one = model.table.one()
@@ -159,9 +159,6 @@ def test_unit_monomials_make_no_unit_products(monkeypatch):
              for k in range(len(cf.generators) + 1)
              for mon in model.monomials_of_degree(k)]
     operators = (model.d, model.del_, model.delbar, model.deldelbar)
-    for op in operators:
-        for form in forms:
-            op(form)
     products = []
     original = PolyScalar.__mul__
 
