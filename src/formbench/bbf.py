@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import add
 
 from .errors import (
     DegenerateSymplectic,
@@ -25,6 +27,7 @@ from .errors import (
     OddSize,
     UnsupportedBasis,
 )
+from .exterior import merge_monomials
 from .scalars import ScalarFraction
 
 
@@ -170,25 +173,44 @@ def q_sigma(space, alpha):
 
 def _pairings(space, form, what):
     """The part of the bilinear form that depends on one argument only, with
-    its constants folded in: for f = (n/2) form, (f s^(n-1) sb^(n-1),
-    (1-n)/n I[f s^(n-1) sb^n], I[form s^n sb^(n-1)])."""
+    its constants folded in, for f = (n/2) form: (dual, (1-n)/n I[f s^(n-1)
+    sb^n], I[form s^n sb^(n-1)]).  dual maps the degree-2 monomial
+    complementary to each term of f s^(n-1) sb^(n-1) to the volume times
+    the integral of their product, so volume I[eta f s^(n-1) sb^(n-1)] is
+    the sum of c dual[m] over the terms (m, c) of eta."""
     _check_degree_two(space, form, what)
     n = space.n
     s, sb = space.sigma_pow, space.sigma_bar_pow
+    cf = form.coframe
     lower = form.scaled(Fraction(n, 2)).wedge(s[n - 1])
-    return (
-        lower.wedge(sb[n - 1]),
-        lower.wedge(sb[n]).integrate() * Fraction(1 - n, n),
-        form.wedge(s[n]).wedge(sb[n - 1]).integrate(),
-    )
+    holo = lower.wedge(sb[n]).integrate() * Fraction(1 - n, n)
+    anti = form.wedge(s[n]).wedge(sb[n - 1]).integrate()
+    scale = space.volume * cf.table.variable(cf.volume_variable)
+    dual = {}
+    for mon, coeff in lower.wedge(sb[n - 1]).terms.items():
+        complement = tuple(p for p in cf.volume_monomial if p not in mon)
+        value = coeff * scale
+        same = merge_monomials(complement, mon)[0] == cf.volume_sign
+        dual[complement] = value if same else -value
+    return dual, holo, anti
 
 
 def _combine(space, psi_record, eta, eta_record):
-    """The bilinear form on psi and eta from their pairing records."""
-    psi_wedge, psi_holo, psi_anti = psi_record
+    """The bilinear form on psi and eta from their pairing records: each
+    term of eta looked up in psi's dual map, and the products of the
+    one-sided integrals whose factors are both nonzero."""
+    dual, psi_holo, psi_anti = psi_record
     _, eta_holo, eta_anti = eta_record
-    mixed = eta.wedge(psi_wedge).integrate()
-    return space.volume * mixed + psi_holo * eta_anti + eta_holo * psi_anti
+    total = space.model.table.zero()
+    for mon, coeff in eta.terms.items():
+        value = dual.get(mon)
+        if value is not None:
+            total = total + coeff * value
+    if psi_holo and eta_anti:
+        total = total + psi_holo * eta_anti
+    if eta_holo and psi_anti:
+        total = total + eta_holo * psi_anti
+    return total
 
 
 def bilinear(space, psi, eta):
@@ -229,9 +251,10 @@ class GramMatrix:
 def gram_matrix(space, basis, mode="oracle"):
     """Gram matrix of the bilinear form.
 
-    oracle mode integrates every pairing with V formal; closed_form mode
-    emits the coefficient formulas with denominator 2*mu*mub and is only
-    available for torus models over the standard monomial basis.  After
+    oracle mode integrates once per basis form and reads every pairing off
+    the pairing records, with V formal; closed_form mode emits the
+    coefficient formulas with denominator 2*mu*mub and is only available
+    for torus models over the standard monomial basis.  After
     normalize_gram, both agree entrywise.
     """
     basis = tuple(basis)
@@ -247,6 +270,9 @@ def gram_matrix(space, basis, mode="oracle"):
         return GramMatrix(basis, entries)
     if mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")
+    model = space.model
+    if any(model.differential_of(g.name) for g in model.coframe.generators):
+        raise UnsupportedBasis("closed form entries require a torus model")
     kinds = [_classify_standard(space, form) for form in basis]
     denominator = space.mu * space.mu.conjugate() * 2
     entries = tuple(
@@ -261,8 +287,6 @@ def gram_matrix(space, basis, mode="oracle"):
 
 def _classify_standard(space, form):
     cf = space.model.coframe
-    if any(space.model.differential_of(g.name) for g in cf.generators):
-        raise UnsupportedBasis("closed form entries require a torus model")
     if len(form.terms) != 1:
         raise UnsupportedBasis(f"{form} is not a standard basis monomial")
     (mon, coeff), = form.terms.items()
@@ -328,19 +352,21 @@ def normalize_gram(space, gram):
 
     With P = mu*mub, an entry sum_j a_j V^j / sum_j b_j V^j becomes
     sum_j a_j P^(k-j) / sum_j b_j P^(k-j), k the larger of its two V-degrees:
-    one fraction per entry, and the powers of P are shared by all entries."""
+    one fraction per entry, and the powers of P are shared by all entries.
+    Zero entries pass through unchanged."""
     name = space.model.coframe.volume_variable
-    table = space.model.table
-    powers = [table.one(), space.mu * space.mu.conjugate()]
+    powers = [space.model.table.one(), space.mu * space.mu.conjugate()]
 
     def cleared(split, k):
-        terms = (c * powers[k - j] if j < k else c for j, c in split.items())
-        return sum(terms, table.zero())
+        return reduce(add, (c * powers[k - j] if j < k else c
+                            for j, c in split.items()))
 
     def normalize_entry(entry):
+        if not entry:
+            return entry
         num = entry.numerator.coefficients_in(name)
         den = entry.denominator.coefficients_in(name)
-        k = max(max(num, default=0), max(den))
+        k = max(*num, *den)
         while len(powers) <= k:
             powers.append(powers[-1] * powers[1])
         return ScalarFraction(cleared(num, k), cleared(den, k))

@@ -226,7 +226,11 @@ class VariableTable:
         return self.constant(1)
 
     def constant(self, value):
-        return PolyScalar(self, {(0,) * len(self.names): GaussianRational.of(value)})
+        exponents = (0,) * len(self.names)
+        if isinstance(value, (int, Fraction)):  # bool included, as 0 or 1
+            ints = {exponents: (value.numerator, 0)} if value else {}
+            return _poly(self, value.denominator, ints)
+        return PolyScalar(self, {exponents: GaussianRational.of(value)})
 
     def variable(self, name, power=1):
         return self.monomial({name: power})
@@ -535,7 +539,7 @@ def _reduced(table, den, ints):
 
 class ScalarFraction:
     """A formal quotient of polynomials, compared by cross-multiplication
-    unless the denominators are equal.
+    unless a numerator is zero or the denominators are equal.
 
     Only integer content is removed on construction; no polynomial gcd is
     attempted.
@@ -576,7 +580,11 @@ class ScalarFraction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other.table is not self.table and other.table != self.table:
+            raise ValueError("scalars over different variable tables")
         # exact: denominators are nonzero and Q(i)[vars] has no zero divisors
+        if not (self.numerator and other.numerator):
+            return not (self.numerator or other.numerator)
         if self.denominator == other.denominator:
             return self.numerator == other.numerator
         return self.numerator * other.denominator == other.numerator * self.denominator

@@ -37,6 +37,7 @@ from formbench.models import (
 )
 from formbench.scalars import (
     GaussianRational,
+    PolyScalar,
     ScalarFraction,
     VariableTable,
     substitute_fraction,
@@ -739,16 +740,58 @@ def _nilpotent_dim4_space():
     return model, make_symplectic(model, sigma)
 
 
-@pytest.mark.parametrize("case", ["kodaira", "nilpotent_dim4"])
+MULTI_TERM_BASIS = (
+    "x1^x2 + l*x3^xb4",
+    "x1^xb1 - 2*x2^xb2 + x3^x4",
+    "(1+i)*x1^x3 + xb1^xb2 - lb*x2^xb3",
+    "l*x2^xb3 + lb*x3^xb2",
+    "x4^xb4 + xb3^xb4 + x1^x4",
+    "x1^x4 - x2^x3 + xb1^xb4",
+)
+
+
+def _multi_term_torus4_space(swap):
+    # the 4-torus as a model document; a swapped volume flips the sign of
+    # every integral
+    holo = [f"x{k}" for k in range(1, 5)]
+    anti = [f"xb{k}" for k in range(1, 5)]
+    volume = holo + anti
+    if swap:
+        volume[0], volume[1] = volume[1], volume[0]
+    model = model_from_dict({
+        "variables": [{"name": "V", "conjugate": "V"},
+                      {"name": "l", "conjugate": "lb"}],
+        "generators": [
+            {"name": name, "bidegree": [1, 0], "conjugate": mate}
+            for name, mate in zip(holo, anti)
+        ] + [
+            {"name": name, "bidegree": [0, 1], "conjugate": mate}
+            for name, mate in zip(anti, holo)
+        ],
+        "differentials": [],
+        "volume": volume,
+    })
+    cf = model.coframe
+    assert cf.volume_sign == (-1 if swap else 1)
+    space = make_symplectic(
+        model, parse_form("x1^x2 + l*x3^x4 + (1+2i)*x1^x3", cf))
+    return space, [parse_form(text, cf) for text in MULTI_TERM_BASIS]
+
+
+@pytest.mark.parametrize(
+    "case", ["kodaira", "nilpotent_dim4", "torus4_multi_term", "torus4_swapped_volume"])
 def test_gram_oracle_is_polarization_of_q(case):
-    # n = 2 in the second case, so the (1-n) cross term is live
+    # n = 2 in all but the first case, so the (1-n) cross term is live
     if case == "kodaira":
         model = kodaira()
         space = make_symplectic(model, kodaira_sigma(model))
-    else:
+        basis = list(model.cohomology("de_rham", 2).basis)
+    elif case == "nilpotent_dim4":
         model, space = _nilpotent_dim4_space()
         assert space.n == 2
-    basis = list(model.cohomology("de_rham", 2).basis)
+        basis = list(model.cohomology("de_rham", 2).basis)
+    else:
+        space, basis = _multi_term_torus4_space(case == "torus4_swapped_volume")
     gram = gram_matrix(space, basis, mode="oracle")
     q = [q_sigma(space, form) for form in basis]
     for i, first in enumerate(basis):
@@ -757,3 +800,40 @@ def test_gram_oracle_is_polarization_of_q(case):
             polar = q_sigma(space, first + basis[j]) - q[i] - q[j]
             assert gram.entries[i][j] * 2 == polar, (i, j)
             assert gram.entries[j][i] * 2 == polar, (j, i)
+
+
+def test_gram_oracle_integrates_once_per_basis_form(monkeypatch):
+    model = torus(4)
+    _, space = random_symplectic(random.Random(137), model)
+    basis = standard_degree_two_basis(model)
+    calls = {"wedge": 0, "integrate": 0, "__mul__": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Form, "wedge")
+    counted(Form, "integrate")
+    gram = gram_matrix(space, basis, mode="oracle")
+    assert (calls["wedge"], calls["integrate"]) == (5 * 28, 2 * 28)
+    # the entries that vanish by bidegree cost no product when normalized
+    assert sum(not entry for row in gram.entries for entry in row) == 568
+    counted(PolyScalar, "__mul__")
+    zero, value = gram.entries[0][0], gram.entries[0][22]
+    assert not zero and value
+
+    def normalized(entries):
+        calls["__mul__"] = 0
+        result = normalize_gram(space, GramMatrix(basis[:len(entries)], entries))
+        return calls["__mul__"], result
+
+    alone, alone_gram = normalized(((value,),))
+    padded, padded_gram = normalized(((value, zero), (zero, zero)))
+    assert alone > 0 and padded == alone
+    assert padded_gram.render() == [[str(alone_gram.entries[0][0]), "0"], ["0", "0"]]
+    assert padded_gram.entries[1][1] is zero

@@ -251,6 +251,26 @@ def test_fraction_equality_shortcuts():
     assert ScalarFraction(t1 + t2, u) == ScalarFraction(t2 + t1, u)
 
 
+def test_fraction_equality_with_a_zero_numerator_multiplies_nothing(monkeypatch):
+    table = small_table()
+    t1, u = table.variable("t1"), table.variable("u")
+    products = []
+    original = PolyScalar.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(PolyScalar, "__mul__", counted)
+    monkeypatch.setattr(PolyScalar, "__rmul__", counted)
+    zero = ScalarFraction(table.zero(), t1 + 2)
+    nonzero = ScalarFraction(t1, u)
+    for x, y, equal in ((zero, nonzero, False), (nonzero, zero, False),
+                        (zero, ScalarFraction(table.zero(), u), True)):
+        assert (x == y) is equal
+    assert products == []
+
+
 def test_fraction_equality_falls_back_to_cross_multiplying():
     rng = random.Random(29)
     table = small_table()
@@ -402,6 +422,9 @@ def test_polynomial_arithmetic_makes_no_fraction(monkeypatch):
             return Fraction(*args, **kwargs)
 
     monkeypatch.setattr(scalars, "Fraction", CountingFraction)
+    assert table.constant(3) * polys[0] == polys[0] + polys[0] + polys[0]
+    assert table.coerce(1) == table.one()
+    assert ScalarFraction(polys[0]) == ScalarFraction(polys[0] * 2, 2)
     for p, q, r in zip(polys, polys[1:], polys[2:]):
         assert p * (q + r) == p * q + p * r
         assert (p - q) + q == p
@@ -409,6 +432,25 @@ def test_polynomial_arithmetic_makes_no_fraction(monkeypatch):
         assert ScalarFraction(p * r, q * r) == ScalarFraction(p, q)
         assert ScalarFraction(p, q) != ScalarFraction(p + r, q)
     assert made == []
+
+
+def test_constant_matches_the_gaussian_route():
+    table = small_table()
+    constant_exponents = (0,) * len(table.names)
+    values = [0, 1, -1, 7, -12, 10**15 + 1, Fraction(0), Fraction(3, 4),
+              Fraction(-5, 6), Fraction(12, 8), GaussianRational(0),
+              GaussianRational(Fraction(1, 2), 3), GaussianRational(0, Fraction(-2, 9))]
+    for value in values:
+        got = table.constant(value)
+        expected = PolyScalar(table, {constant_exponents: GaussianRational.of(value)})
+        assert (got.den, got.ints) == (expected.den, expected.ints), value
+        assert got == table.coerce(value) == expected
+    # bool counts as the int it equals, with plain int parts
+    assert table.constant(True).ints == {constant_exponents: (1, 0)}
+    assert all(type(part) is int for part in table.constant(True).ints[constant_exponents])
+    assert table.constant(False) == table.zero()
+    with pytest.raises(TypeError):
+        table.constant(0.5)
 
 
 def test_fraction_arithmetic():
