@@ -260,9 +260,10 @@ def gram_matrix(space, basis, mode="oracle"):
     basis = tuple(basis)
     if mode == "oracle":
         records = [_pairings(space, form, "basis form") for form in basis]
+        one = space.model.table.one()
         entries = tuple(
             tuple(
-                ScalarFraction(_combine(space, first, form, second))
+                ScalarFraction(_combine(space, first, form, second), one)
                 for form, second in zip(basis, records)
             )
             for first in records
@@ -275,9 +276,10 @@ def gram_matrix(space, basis, mode="oracle"):
         raise UnsupportedBasis("closed form entries require a torus model")
     kinds = [_classify_standard(space, form) for form in basis]
     denominator = space.mu * space.mu.conjugate() * 2
+    nu_bar = {pair: value.conjugate() for pair, value in space.nu.items()}
     entries = tuple(
         tuple(
-            ScalarFraction(_closed_form_numerator(space, a, b), denominator)
+            ScalarFraction(_closed_form_numerator(space, nu_bar, a, b), denominator)
             for b in kinds
         )
         for a in kinds
@@ -301,8 +303,9 @@ def _classify_standard(space, form):
     return ("11", (mon[0] + 1, mon[1] - h + 1))
 
 
-def _closed_form_numerator(space, a, b):
-    """The numerator over 2*mu*mub of one closed-form Gram entry."""
+def _closed_form_numerator(space, nu_bar, a, b):
+    """The numerator over 2*mu*mub of one closed-form Gram entry; nu_bar
+    holds the conjugates of space.nu."""
     table = space.model.table
     kind_a, idx_a = a
     kind_b, idx_b = b
@@ -312,7 +315,7 @@ def _closed_form_numerator(space, a, b):
         alpha, beta = idx_a
         gamma, delta = idx_b
         sign = -1 if (alpha + beta + gamma + delta) % 2 else 1
-        value = space.nu[(alpha, beta)] * space.nu[(gamma, delta)].conjugate()
+        value = space.nu[(alpha, beta)] * nu_bar[(gamma, delta)]
         return value * sign
     if kind_a == "11" and kind_b == "11":
         alpha, beta = idx_a
@@ -324,7 +327,7 @@ def _closed_form_numerator(space, a, b):
             e += 1
         value = (
             space.nu[(min(alpha, gamma), max(alpha, gamma))]
-            * space.nu[(min(beta, delta), max(beta, delta))].conjugate()
+            * nu_bar[(min(beta, delta), max(beta, delta))]
             * space.n
         )
         return -value if e % 2 else value
@@ -353,9 +356,16 @@ def normalize_gram(space, gram):
     With P = mu*mub, an entry sum_j a_j V^j / sum_j b_j V^j becomes
     sum_j a_j P^(k-j) / sum_j b_j P^(k-j), k the larger of its two V-degrees:
     one fraction per entry, and the powers of P are shared by all entries.
+    Entries are read as stored, with no content removed.  A denominator
+    object shared by several entries, such as the oracle's unit, is cleared
+    once per k, and the normalized entries share the result, so comparing
+    them multiplies nothing; a numerator of V-degree k costs no product.
     Zero entries pass through unchanged."""
     name = space.model.coframe.volume_variable
     powers = [space.model.table.one(), space.mu * space.mu.conjugate()]
+    # (id of a denominator object, k) -> the cleared denominator; gram keeps
+    # every entry alive for the call, so no id is reused
+    cleared_denominators = {}
 
     def cleared(split, k):
         return reduce(add, (c * powers[k - j] if j < k else c
@@ -364,12 +374,15 @@ def normalize_gram(space, gram):
     def normalize_entry(entry):
         if not entry:
             return entry
-        num = entry.numerator.coefficients_in(name)
-        den = entry.denominator.coefficients_in(name)
+        num = entry._num.coefficients_in(name)
+        den = entry._den.coefficients_in(name)
         k = max(*num, *den)
         while len(powers) <= k:
             powers.append(powers[-1] * powers[1])
-        return ScalarFraction(cleared(num, k), cleared(den, k))
+        key = (id(entry._den), k)
+        if key not in cleared_denominators:
+            cleared_denominators[key] = cleared(den, k)
+        return ScalarFraction(cleared(num, k), cleared_denominators[key])
 
     entries = tuple(tuple(normalize_entry(e) for e in row) for row in gram.entries)
     return GramMatrix(gram.basis, entries)

@@ -5,10 +5,14 @@ A polynomial is stored as Gaussian-integer numerators over one positive
 denominator, in lowest terms, so its ring operations run on Python ints and
 build no Fraction; a GaussianRational of two Fractions is made only where a
 single coefficient is read (``terms``, ``constant_value``, ``substitute``,
-rendering).
+rendering).  A ScalarFraction keeps the parts it is given and removes their
+common integer content only when ``numerator``, ``denominator`` or ``str()``
+is first read.
 
 Everything here is immutable after construction and safe to share between
-threads; all operations return fresh values.
+threads; all operations return fresh values.  The one memo, a
+ScalarFraction's content-free pair, is written once on first read, and
+writing it again would store an equal pair.
 """
 
 from __future__ import annotations
@@ -246,7 +250,7 @@ class VariableTable:
 
     def coerce(self, value):
         if isinstance(value, PolyScalar):
-            if value.table != self:
+            if value.table is not self and value.table != self:
                 raise ValueError("scalar belongs to a different variable table")
             return value
         return self.constant(value)
@@ -541,33 +545,55 @@ class ScalarFraction:
     """A formal quotient of polynomials, compared by cross-multiplication
     unless a numerator is zero or the denominators are equal.
 
-    Only integer content is removed on construction; no polynomial gcd is
-    attempted.
+    The numerator and denominator are kept as given (``_num``, ``_den``);
+    truth and equality work on them, since cross-multiplication does not
+    depend on content, and two fractions that share one denominator object
+    compare numerators only.  ``numerator`` and ``denominator`` are the pair
+    with its common integer content removed, a zero reading 0 / 1; that pair
+    is computed on the first read and memoized.  No polynomial gcd is
+    attempted.  The memo is written once, and a racing second write stores
+    an equal pair, so instances stay immutable in value and thread-safe.
     """
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ("_num", "_den", "_lowest")
 
     def __init__(self, numerator, denominator=1):
         if not isinstance(numerator, PolyScalar):
             raise TypeError("numerator must be a PolyScalar")
-        table = numerator.table
-        denominator = table.coerce(denominator)
+        denominator = numerator.table.coerce(denominator)
         if not denominator:
             raise ZeroDivisionError("zero denominator")
-        if numerator:
-            numerator, denominator = without_content((numerator, denominator))
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+        _set(self, "_num", numerator)
+        _set(self, "_den", denominator)
+        _set(self, "_lowest", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarFraction is immutable")
 
+    def _lowest_terms(self):
+        pair = self._lowest
+        if pair is None:
+            if self._num:
+                pair = tuple(without_content((self._num, self._den)))
+            else:
+                pair = (self._num, self.table.one())
+            _set(self, "_lowest", pair)
+        return pair
+
+    @property
+    def numerator(self):
+        return self._lowest_terms()[0]
+
+    @property
+    def denominator(self):
+        return self._lowest_terms()[1]
+
     @property
     def table(self):
-        return self.numerator.table
+        return self._num.table
 
     def __bool__(self):
-        return bool(self.numerator)
+        return bool(self._num)
 
     def _coerce(self, other):
         if isinstance(other, ScalarFraction):
@@ -583,11 +609,13 @@ class ScalarFraction:
         if other.table is not self.table and other.table != self.table:
             raise ValueError("scalars over different variable tables")
         # exact: denominators are nonzero and Q(i)[vars] has no zero divisors
-        if not (self.numerator and other.numerator):
-            return not (self.numerator or other.numerator)
-        if self.denominator == other.denominator:
-            return self.numerator == other.numerator
-        return self.numerator * other.denominator == other.numerator * self.denominator
+        num, other_num = self._num, other._num
+        if not (num and other_num):
+            return not (num or other_num)
+        den, other_den = self._den, other._den
+        if den is other_den or den == other_den:
+            return num == other_num
+        return num * other_den == other_num * den
 
     __hash__ = None
 
@@ -603,7 +631,7 @@ class ScalarFraction:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarFraction(-self.numerator, self.denominator)
+        return ScalarFraction(-self._num, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -628,7 +656,7 @@ class ScalarFraction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not other.numerator:
+        if not other:
             raise ZeroDivisionError("division by zero fraction")
         return ScalarFraction(
             self.numerator * other.denominator, self.denominator * other.numerator

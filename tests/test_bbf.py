@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 import formbench.bbf as bbf
+import formbench.scalars as scalars
 from formbench.bbf import (
     AntisymmetricMatrix,
     GramMatrix,
@@ -837,3 +838,61 @@ def test_gram_oracle_integrates_once_per_basis_form(monkeypatch):
     assert alone > 0 and padded == alone
     assert padded_gram.render() == [[str(alone_gram.entries[0][0]), "0"], ["0", "0"]]
     assert padded_gram.entries[1][1] is zero
+
+
+def _counting(monkeypatch, owner, names):
+    """Wrap the named attributes of owner to count their calls in one
+    shared counter."""
+    calls = [0]
+    for name in names:
+        original = getattr(owner, name)
+
+        def wrapper(*args, original=original):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_gram_pipeline_removes_no_content(monkeypatch):
+    # the benchmark's op: oracle, normalize_gram, closed form, matches and
+    # is_symmetric on a 4-torus sigma with one formal pair
+    removals = _counting(monkeypatch, scalars, ["without_content"])
+    space, oracle = formal_pair_oracle_gram()
+    normalized = normalize_gram(space, oracle)
+    closed = gram_matrix(space, oracle.basis, mode="closed_form")
+    assert normalized.matches(closed)
+    assert normalized.is_symmetric()
+    assert removals == [0]
+
+
+def test_normalize_gram_clears_a_shared_denominator_once(monkeypatch):
+    space, oracle = formal_pair_oracle_gram()
+    value = oracle.entries[0][22]
+    products = _counting(monkeypatch, PolyScalar, ["__mul__", "__rmul__"])
+    # mu*mub, its square and the oracle's unit denominator times that square
+    normalized = normalize_gram(space, oracle)
+    assert products == [3]
+    products[0] = 0
+    alone = normalize_gram(space, GramMatrix(oracle.basis[:1], ((value,),)))
+    assert products == [3]
+    assert alone.entries[0][0] == normalized.entries[0][22]
+    shared = {id(entry._den) for row in normalized.entries for entry in row if entry}
+    assert len(shared) == 1
+
+
+def test_closed_form_zeros_render_as_zero():
+    space, oracle = formal_pair_oracle_gram()
+    one = space.model.table.one()
+    closed = gram_matrix(space, oracle.basis, mode="closed_form")
+    zeros = [entry for row in closed.entries for entry in row if not entry]
+    assert len(zeros) == 568
+    for entry in zeros:
+        assert entry._den == space.mu * space.mu.conjugate() * 2
+        assert (entry.numerator, entry.denominator) == (space.model.table.zero(), one)
+        assert str(entry) == "0"
+    # zeros sit where the normalized oracle has them, whatever their route
+    normalized = normalize_gram(space, oracle).render()
+    for closed_row, oracle_row in zip(closed.render(), normalized):
+        assert [text == "0" for text in closed_row] == [text == "0" for text in oracle_row]
