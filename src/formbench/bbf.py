@@ -10,6 +10,12 @@ form sigma is evaluated by the three-integral expression
 with no normalization assumed; the formal total volume V stays in every
 result, and "normalized" Gram matrices set V = 1/(mu*mub) at the
 presentation layer only.
+
+The bilinear form and the Gram oracle read every pairing off one kernel per
+call: at most three wedges of sigma powers give each degree-2 monomial's
+pairing row, and by bilinearity a form's pairing record is the combination
+of its monomials' rows, so no argument is wedged or integrated.  q_sigma
+keeps the wedge-then-integrate route as the independent check.
 """
 
 from __future__ import annotations
@@ -171,53 +177,116 @@ def q_sigma(space, alpha):
     )
 
 
-def _pairings(space, form, what):
-    """The part of the bilinear form that depends on one argument only, with
-    its constants folded in, for f = (n/2) form: (dual, (1-n)/n I[f s^(n-1)
-    sb^n], I[form s^n sb^(n-1)]).  dual maps the degree-2 monomial
-    complementary to each term of f s^(n-1) sb^(n-1) to the volume times
-    the integral of their product, so volume I[eta f s^(n-1) sb^(n-1)] is
-    the sum of c dual[m] over the terms (m, c) of eta."""
-    _check_degree_two(space, form, what)
+def _pairing_kernel(space):
+    """The pairing rows of the degree-2 monomials, from three wedges of
+    sigma powers (one when n = 1).  By bilinearity the pairing record of a
+    form is the combination of its monomials' rows, so no form is wedged or
+    integrated.
+
+    Returns (dual_rows, end_rows).  dual_rows[m] maps a degree-2 monomial k
+    to (n/2) volume I[k m s^(n-1) sb^(n-1)]: for each term w of
+    W0 = s^(n-1) sb^(n-1) and each m disjoint from w, k is the complement
+    of m and w, and the value is the W0 coefficient at w, pre-scaled by
+    (n/2) volume V and signed.  end_rows[m] holds the nonzero values among
+    "holo" = (1-n)/2 I[m s^(n-1) sb^n] and "anti" = I[m s^n sb^(n-1)]; it
+    is empty when n = 1, where the (1-n) term vanishes."""
     n = space.n
     s, sb = space.sigma_pow, space.sigma_bar_pow
-    cf = form.coframe
-    lower = form.scaled(Fraction(n, 2)).wedge(s[n - 1])
-    holo = lower.wedge(sb[n]).integrate() * Fraction(1 - n, n)
-    anti = form.wedge(s[n]).wedge(sb[n - 1]).integrate()
-    scale = space.volume * cf.table.variable(cf.volume_variable)
-    dual = {}
-    for mon, coeff in lower.wedge(sb[n - 1]).terms.items():
-        complement = tuple(p for p in cf.volume_monomial if p not in mon)
+    cf = space.model.coframe
+    v = cf.table.variable(cf.volume_variable)
+    top = cf.volume_monomial
+
+    def integral_sign(mon, complement):
+        # the sign of the volume monomial in complement ^ mon
+        return merge_monomials(complement, mon)[0] * cf.volume_sign
+
+    dual_rows = {}
+    scale = space.volume * v * Fraction(n, 2)
+    for w, coeff in s[n - 1].wedge(sb[n - 1]).terms.items():
         value = coeff * scale
-        same = merge_monomials(complement, mon)[0] == cf.volume_sign
-        dual[complement] = value if same else -value
-    return dual, holo, anti
+        rest = tuple(p for p in top if p not in w)
+        for m in combinations(rest, 2):
+            sign, mw = merge_monomials(m, w)
+            k = tuple(p for p in rest if p not in m)
+            row = dual_rows.setdefault(m, {})
+            row[k] = value if sign * integral_sign(mw, k) > 0 else -value
+    end_rows = {}
+    if n != 1:  # the (1-n) term vanishes on a surface
+        for name, form, scale in (
+            ("holo", s[n - 1].wedge(sb[n]), v * Fraction(1 - n, 2)),
+            ("anti", s[n].wedge(sb[n - 1]), v),
+        ):
+            for mon, coeff in form.terms.items():
+                k = tuple(p for p in top if p not in mon)
+                value = coeff * scale
+                end_rows.setdefault(k, {})[name] = (
+                    value if integral_sign(mon, k) > 0 else -value)
+    return dual_rows, end_rows
 
 
-def _combine(space, psi_record, eta, eta_record):
-    """The bilinear form on psi and eta from their pairing records: each
-    term of eta looked up in psi's dual map, and the products of the
-    one-sided integrals whose factors are both nonzero."""
-    dual, psi_holo, psi_anti = psi_record
-    _, eta_holo, eta_anti = eta_record
-    total = space.model.table.zero()
-    for mon, coeff in eta.terms.items():
-        value = dual.get(mon)
-        if value is not None:
-            total = total + coeff * value
-    if psi_holo and eta_anti:
-        total = total + psi_holo * eta_anti
-    if eta_holo and psi_anti:
-        total = total + eta_holo * psi_anti
-    return total
+def _combination(rows, form, one):
+    """The sum of coeff * rows[m] over the terms (m, coeff) of form, as a
+    {key: value} map of its nonzero values; a unit coefficient multiplies
+    nothing."""
+    total = {}
+    for mon, coeff in form.terms.items():
+        unit = coeff == one
+        for key, value in rows.get(mon, {}).items():
+            if not unit:
+                value = coeff * value
+            old = total.get(key)
+            total[key] = value if old is None else old + value
+    return {key: value for key, value in total.items() if value}
+
+
+def _pairing_table(space, forms):
+    """The bilinear form on every ordered pair of checked forms, as one
+    {j: value} map per row with a key only where some pairing term is
+    nonzero.
+
+    Each form's pairing record is read off the kernel: dual, a map from
+    degree-2 monomials k such that volume (n/2) I[k form s^(n-1) sb^(n-1)]
+    is dual[k], and the one-sided integrals holo = (1-n)/2 I[form s^(n-1)
+    sb^n] and anti = I[form s^n sb^(n-1)].  Entry (i, j) sums coeff dual_i[k]
+    over the terms (k, coeff) of form j, found through a monomial index,
+    plus holo_i anti_j + holo_j anti_i; each product of a nonzero holo and
+    a nonzero anti is made once and added to both of its entries."""
+    one = space.model.table.one()
+    dual_rows, end_rows = _pairing_kernel(space)
+    index = {}
+    for j, form in enumerate(forms):
+        for mon, coeff in form.terms.items():
+            index.setdefault(mon, []).append((j, None if coeff == one else coeff))
+    rows, holo, anti = [], [], []
+    for i, form in enumerate(forms):
+        row = {}
+        for mon, value in _combination(dual_rows, form, one).items():
+            for j, coeff in index.get(mon, ()):
+                term = value if coeff is None else coeff * value
+                old = row.get(j)
+                row[j] = term if old is None else old + term
+        rows.append(row)
+        ends = _combination(end_rows, form, one)
+        if "holo" in ends:
+            holo.append((i, ends["holo"]))
+        if "anti" in ends:
+            anti.append((i, ends["anti"]))
+    for i, x in holo:
+        for j, y in anti:
+            product = x * y
+            for row, col in ((rows[i], j), (rows[j], i)):
+                old = row.get(col)
+                row[col] = product if old is None else old + product
+    return rows
 
 
 def bilinear(space, psi, eta):
     """The symmetric bilinear form polarizing q_sigma; bilinear(a, a) equals
     q_sigma(a) exactly."""
-    psi_record = _pairings(space, psi, "psi")
-    return _combine(space, psi_record, eta, _pairings(space, eta, "eta"))
+    _check_degree_two(space, psi, "psi")
+    _check_degree_two(space, eta, "eta")
+    rows = _pairing_table(space, (psi, eta))
+    return rows[0].get(1, space.model.table.zero())
 
 
 # -- Gram matrices ---------------------------------------------------------------
@@ -251,22 +320,26 @@ class GramMatrix:
 def gram_matrix(space, basis, mode="oracle"):
     """Gram matrix of the bilinear form.
 
-    oracle mode integrates once per basis form and reads every pairing off
-    the pairing records, with V formal; closed_form mode emits the
-    coefficient formulas with denominator 2*mu*mub and is only available
-    for torus models over the standard monomial basis.  After
-    normalize_gram, both agree entrywise.
+    oracle mode combines each basis form's pairing record from the pairing
+    kernel's rows (at most three wedges per call, whatever the basis size,
+    and no integration) and assembles only the entries some pairing term
+    reaches, with V formal; every entry is over one shared unit
+    denominator, and the zero entries are one shared fraction.  closed_form mode emits the
+    coefficient formulas with denominator 2*mu*mub, the zero entries again
+    one shared fraction, and is only available for torus models over the
+    standard monomial basis.  After normalize_gram, both agree entrywise.
     """
     basis = tuple(basis)
     if mode == "oracle":
-        records = [_pairings(space, form, "basis form") for form in basis]
-        one = space.model.table.one()
+        for form in basis:
+            _check_degree_two(space, form, "basis form")
+        table = space.model.table
+        one = table.one()
+        zero = ScalarFraction(table.zero(), one)
         entries = tuple(
-            tuple(
-                ScalarFraction(_combine(space, first, form, second), one)
-                for form, second in zip(basis, records)
-            )
-            for first in records
+            tuple(ScalarFraction(row[j], one) if row.get(j) else zero
+                  for j in range(len(basis)))
+            for row in _pairing_table(space, basis)
         )
         return GramMatrix(basis, entries)
     if mode != "closed_form":
@@ -277,13 +350,13 @@ def gram_matrix(space, basis, mode="oracle"):
     kinds = [_classify_standard(space, form) for form in basis]
     denominator = space.mu * space.mu.conjugate() * 2
     nu_bar = {pair: value.conjugate() for pair, value in space.nu.items()}
-    entries = tuple(
-        tuple(
-            ScalarFraction(_closed_form_numerator(space, nu_bar, a, b), denominator)
-            for b in kinds
-        )
-        for a in kinds
-    )
+    zero = ScalarFraction(model.table.zero(), denominator)
+
+    def entry(a, b):
+        value = _closed_form_numerator(space, nu_bar, a, b)
+        return ScalarFraction(value, denominator) if value else zero
+
+    entries = tuple(tuple(entry(a, b) for b in kinds) for a in kinds)
     return GramMatrix(basis, entries)
 
 
@@ -304,9 +377,9 @@ def _classify_standard(space, form):
 
 
 def _closed_form_numerator(space, nu_bar, a, b):
-    """The numerator over 2*mu*mub of one closed-form Gram entry; nu_bar
-    holds the conjugates of space.nu."""
-    table = space.model.table
+    """The numerator over 2*mu*mub of one closed-form Gram entry, None
+    where the entry vanishes by type; nu_bar holds the conjugates of
+    space.nu."""
     kind_a, idx_a = a
     kind_b, idx_b = b
     if {kind_a, kind_b} == {"20", "02"}:
@@ -314,14 +387,13 @@ def _closed_form_numerator(space, nu_bar, a, b):
             idx_a, idx_b = idx_b, idx_a
         alpha, beta = idx_a
         gamma, delta = idx_b
-        sign = -1 if (alpha + beta + gamma + delta) % 2 else 1
         value = space.nu[(alpha, beta)] * nu_bar[(gamma, delta)]
-        return value * sign
+        return -value if (alpha + beta + gamma + delta) % 2 else value
     if kind_a == "11" and kind_b == "11":
         alpha, beta = idx_a
         gamma, delta = idx_b
         if alpha == gamma or beta == delta:
-            return table.zero()
+            return None
         e = alpha + beta + gamma + delta
         if (alpha < gamma) == (beta < delta):
             e += 1
@@ -331,7 +403,7 @@ def _closed_form_numerator(space, nu_bar, a, b):
             * space.n
         )
         return -value if e % 2 else value
-    return table.zero()
+    return None
 
 
 def gram_discrepancies(reference, candidate):
@@ -363,8 +435,10 @@ def normalize_gram(space, gram):
     Zero entries pass through unchanged."""
     name = space.model.coframe.volume_variable
     powers = [space.model.table.one(), space.mu * space.mu.conjugate()]
-    # (id of a denominator object, k) -> the cleared denominator; gram keeps
-    # every entry alive for the call, so no id is reused
+    # gram keeps every entry alive for the call, so no id is reused:
+    # id of a denominator object -> its split in V and its V-degree
+    splits = {}
+    # (id of a denominator object, k) -> the cleared denominator
     cleared_denominators = {}
 
     def cleared(split, k):
@@ -375,11 +449,15 @@ def normalize_gram(space, gram):
         if not entry:
             return entry
         num = entry._num.coefficients_in(name)
-        den = entry._den.coefficients_in(name)
-        k = max(*num, *den)
+        den_id = id(entry._den)
+        if den_id not in splits:
+            den = entry._den.coefficients_in(name)
+            splits[den_id] = den, max(den)
+        den, den_degree = splits[den_id]
+        k = max(den_degree, *num)
         while len(powers) <= k:
             powers.append(powers[-1] * powers[1])
-        key = (id(entry._den), k)
+        key = (den_id, k)
         if key not in cleared_denominators:
             cleared_denominators[key] = cleared(den, k)
         return ScalarFraction(cleared(num, k), cleared_denominators[key])

@@ -23,6 +23,7 @@ from formbench.bbf import (
 from formbench.dga import StructureModel
 from formbench.errors import (
     DegenerateSymplectic,
+    ModelMismatch,
     NotClosed,
     OddSize,
     UnsupportedBasis,
@@ -529,7 +530,7 @@ def test_block_orthogonality_reads_entries_only(monkeypatch):
 
     counted(Form, "wedge")
     counted(Form, "integrate")
-    counted(bbf, "_combine")
+    counted(bbf, "_pairing_kernel")
     assert check_block_orthogonality(gram).ok
     assert calls == []
 
@@ -779,11 +780,37 @@ def _multi_term_torus4_space(swap):
     return space, [parse_form(text, cf) for text in MULTI_TERM_BASIS]
 
 
+# multi-term forms with a formal pair on tori of complex dimension 2 (n = 1)
+# and 6 (n = 3), where the pairing kernel's complement signs differ from n = 2
+FORMAL_PAIR_TORI = {
+    "torus2_multi_term": (2, "(2-i)*x1^x2", (
+        "x1^x2 + l*x1^xb1",
+        "x1^xb2 - xb1^xb2",
+        "(1+i)*x2^xb1 + lb*x2^xb2 + x1^x2",
+    )),
+    "torus6_multi_term": (6, "x1^x2 + (2-i)*x3^x4 + l*x5^x6 + 3*x1^x4 - x2^x4", (
+        "x1^x2 + l*x3^xb4 + xb5^xb6",
+        "x1^xb1 - 2*x2^xb2 + x5^x6 + lb*x4^xb3",
+        "(1+i)*x1^x3 + xb1^xb2 - lb*x2^xb3 + x6^xb6",
+        "x3^x4 + xb1^xb2 + x5^xb5",
+        "l*x4^xb6 + lb*x6^xb4 + xb3^xb4 - xb1^xb3",
+    )),
+}
+
+
 @pytest.mark.parametrize(
-    "case", ["kodaira", "nilpotent_dim4", "torus4_multi_term", "torus4_swapped_volume"])
+    "case", ["kodaira", "nilpotent_dim4", "torus4_multi_term", "torus4_swapped_volume",
+             *FORMAL_PAIR_TORI])
 def test_gram_oracle_is_polarization_of_q(case):
-    # n = 2 in all but the first case, so the (1-n) cross term is live
-    if case == "kodaira":
+    # n = 1 for kodaira and torus2, so the (1-n) cross term vanishes; n = 2
+    # or 3 elsewhere
+    if case in FORMAL_PAIR_TORI:
+        dim, sigma, texts = FORMAL_PAIR_TORI[case]
+        model = torus(dim, parameters=[("l", "lb")])
+        space = make_symplectic(model, parse_form(sigma, model.coframe))
+        assert space.n == dim // 2
+        basis = [parse_form(text, model.coframe) for text in texts]
+    elif case == "kodaira":
         model = kodaira()
         space = make_symplectic(model, kodaira_sigma(model))
         basis = list(model.cohomology("de_rham", 2).basis)
@@ -803,7 +830,7 @@ def test_gram_oracle_is_polarization_of_q(case):
             assert gram.entries[j][i] * 2 == polar, (j, i)
 
 
-def test_gram_oracle_integrates_once_per_basis_form(monkeypatch):
+def test_gram_oracle_wedges_a_fixed_number_of_times(monkeypatch):
     model = torus(4)
     _, space = random_symplectic(random.Random(137), model)
     basis = standard_degree_two_basis(model)
@@ -820,8 +847,11 @@ def test_gram_oracle_integrates_once_per_basis_form(monkeypatch):
 
     counted(Form, "wedge")
     counted(Form, "integrate")
+    gram_matrix(space, basis[:1], mode="oracle")
+    # the pairing kernel's three wedges of sigma powers, whatever the basis
+    assert (calls["wedge"], calls["integrate"]) == (3, 0)
     gram = gram_matrix(space, basis, mode="oracle")
-    assert (calls["wedge"], calls["integrate"]) == (5 * 28, 2 * 28)
+    assert (calls["wedge"], calls["integrate"]) == (6, 0)
     # the entries that vanish by bidegree cost no product when normalized
     assert sum(not entry for row in gram.entries for entry in row) == 568
     counted(PolyScalar, "__mul__")
@@ -838,6 +868,18 @@ def test_gram_oracle_integrates_once_per_basis_form(monkeypatch):
     assert alone > 0 and padded == alone
     assert padded_gram.render() == [[str(alone_gram.entries[0][0]), "0"], ["0", "0"]]
     assert padded_gram.entries[1][1] is zero
+
+
+def test_gram_oracle_checks_each_basis_form():
+    model = kodaira()
+    space = make_symplectic(model, kodaira_sigma(model))
+    basis = list(model.cohomology("de_rham", 2).basis)
+    not_closed = model.coframe.monomial_form(("w2", "wb2"))
+    with pytest.raises(NotClosed, match="^basis form is not d-closed$"):
+        gram_matrix(space, basis + [not_closed], mode="oracle")
+    foreign = torus(2).coframe.monomial_form(("x1", "x2"))
+    with pytest.raises(ModelMismatch, match="^basis form belongs to a different model$"):
+        gram_matrix(space, [foreign] + basis, mode="oracle")
 
 
 def _counting(monkeypatch, owner, names):
