@@ -9,7 +9,8 @@ form sigma is evaluated by the three-integral expression
 
 with no normalization assumed; the formal total volume V stays in every
 result, and "normalized" Gram matrices set V = 1/(mu*mub) at the
-presentation layer only.
+presentation layer only.  A Gram matrix holds polynomial numerators over
+one shared denominator, so its pipeline builds no fraction.
 
 The bilinear form and the Gram oracle read every pairing off one kernel per
 call: at most three wedges of sigma powers give each degree-2 monomial's
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations
-from operator import add
+from functools import cached_property, reduce
+from itertools import chain, combinations
+from operator import add, ne
 
 from .errors import (
     DegenerateSymplectic,
@@ -295,23 +296,31 @@ def bilinear(space, psi, eta):
 @dataclass(frozen=True)
 class GramMatrix:
     """The matrix of the bilinear form on an explicit basis of closed
-    degree-2 forms; entries are exact fractions."""
+    degree-2 forms: rows of polynomial numerators over one denominator.
+    ``entries`` is their view as exact fractions, built on first read; a
+    racing second build stores an equal view."""
 
     basis: tuple
-    entries: tuple
+    numerators: tuple
+    denominator: object
 
     @property
     def size(self):
-        return len(self.entries)
+        return len(self.numerators)
+
+    @cached_property
+    def entries(self):
+        den = self.denominator
+        return tuple(tuple(ScalarFraction(a, den) for a in row)
+                     for row in self.numerators)
 
     def matches(self, other):
         return self.size == other.size and not gram_discrepancies(self, other)
 
     def is_symmetric(self):
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i, j in combinations(range(self.size), 2)
-        )
+        rows = self.numerators
+        return all(rows[i][j] == rows[j][i]
+                   for i, j in combinations(range(self.size), 2))
 
     def render(self):
         return [[str(e) for e in row] for row in self.entries]
@@ -323,45 +332,39 @@ def gram_matrix(space, basis, mode="oracle"):
     oracle mode combines each basis form's pairing record from the pairing
     kernel's rows (at most three wedges per call, whatever the basis size,
     and no integration) and assembles only the entries some pairing term
-    reaches, with V formal; every entry is over one shared unit
-    denominator, and the zero entries are one shared fraction.  closed_form mode emits the
-    coefficient formulas with denominator 2*mu*mub, the zero entries again
-    one shared fraction, and is only available for torus models over the
-    standard monomial basis.  After normalize_gram, both agree entrywise.
+    reaches, with V formal, over the unit denominator.  closed_form mode
+    emits the coefficient formulas over the denominator 2*mu*mub, and is
+    only available for torus models over the standard monomial basis.
+    After normalize_gram, both agree entrywise.
     """
     basis = tuple(basis)
+    zero = space.model.table.zero()
     if mode == "oracle":
         for form in basis:
             _check_degree_two(space, form, "basis form")
-        table = space.model.table
-        one = table.one()
-        zero = ScalarFraction(table.zero(), one)
-        entries = tuple(
-            tuple(ScalarFraction(row[j], one) if row.get(j) else zero
-                  for j in range(len(basis)))
+        numerators = tuple(
+            tuple(row.get(j, zero) for j in range(len(basis)))
             for row in _pairing_table(space, basis)
         )
-        return GramMatrix(basis, entries)
+        return GramMatrix(basis, numerators, space.model.table.one())
     if mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")
     model = space.model
     if any(model.differential_of(g.name) for g in model.coframe.generators):
         raise UnsupportedBasis("closed form entries require a torus model")
     kinds = [_classify_standard(space, form) for form in basis]
-    denominator = space.mu * space.mu.conjugate() * 2
     nu_bar = {pair: value.conjugate() for pair, value in space.nu.items()}
-    zero = ScalarFraction(model.table.zero(), denominator)
-
-    def entry(a, b):
-        value = _closed_form_numerator(space, nu_bar, a, b)
-        return ScalarFraction(value, denominator) if value else zero
-
-    entries = tuple(tuple(entry(a, b) for b in kinds) for a in kinds)
-    return GramMatrix(basis, entries)
+    numerators = tuple(
+        tuple(_closed_form_numerator(space, nu_bar, a, b) or zero for b in kinds)
+        for a in kinds
+    )
+    return GramMatrix(basis, numerators, space.mu * space.mu.conjugate() * 2)
 
 
 def _classify_standard(space, form):
     cf = space.model.coframe
+    if form.coframe is not cf:
+        raise ModelMismatch("basis form belongs to a different model")
     if len(form.terms) != 1:
         raise UnsupportedBasis(f"{form} is not a standard basis monomial")
     (mon, coeff), = form.terms.items()
@@ -411,59 +414,51 @@ def gram_discrepancies(reference, candidate):
 
     Used to audit the closed-form coefficient formulas against the
     integration oracle: a nonempty result names the defective closed-form
-    entries instead of guessing a sign convention."""
+    entries instead of guessing a sign convention.  Numerators over equal
+    denominators are compared directly; otherwise only pairs of nonzero
+    numerators are cross-multiplied."""
     if reference.size != candidate.size:
         raise ValueError("Gram matrices have different sizes")
+    p, q = reference.denominator, candidate.denominator
+    if p == q:
+        differs = ne
+    else:
+        def differs(a, b):
+            return a * q != b * p if a and b else bool(a) != bool(b)
     return [
         (i, j)
-        for i in range(reference.size)
-        for j in range(reference.size)
-        if reference.entries[i][j] != candidate.entries[i][j]
+        for i, rows in enumerate(zip(reference.numerators, candidate.numerators))
+        for j, pair in enumerate(zip(*rows))
+        if differs(*pair)
     ]
 
 
 def normalize_gram(space, gram):
     """Impose the normalization V = 1/(mu*mub) on every entry.
 
-    With P = mu*mub, an entry sum_j a_j V^j / sum_j b_j V^j becomes
-    sum_j a_j P^(k-j) / sum_j b_j P^(k-j), k the larger of its two V-degrees:
-    one fraction per entry, and the powers of P are shared by all entries.
-    Entries are read as stored, with no content removed.  A denominator
-    object shared by several entries, such as the oracle's unit, is cleared
-    once per k, and the normalized entries share the result, so comparing
-    them multiplies nothing; a numerator of V-degree k costs no product.
-    Zero entries pass through unchanged."""
+    With P = mu*mub and k the largest V-degree of any numerator or of the
+    denominator, each of them, sum_j a_j V^j, becomes sum_j a_j P^(k-j); a
+    part of V-degree k costs no product and zero numerators pass through.
+    No content is removed, so an entry whose numerator has V-degree below k
+    renders as an equal but unreduced fraction; the oracle on a basis with
+    V-free coefficients is V-homogeneous and has no such entry."""
     name = space.model.coframe.volume_variable
+    splits = [[a.coefficients_in(name) for a in row] for row in gram.numerators]
+    den = gram.denominator.coefficients_in(name)
+    k = max(chain(den, *chain.from_iterable(splits)))
     powers = [space.model.table.one(), space.mu * space.mu.conjugate()]
-    # gram keeps every entry alive for the call, so no id is reused:
-    # id of a denominator object -> its split in V and its V-degree
-    splits = {}
-    # (id of a denominator object, k) -> the cleared denominator
-    cleared_denominators = {}
+    while len(powers) <= k:
+        powers.append(powers[-1] * powers[1])
 
-    def cleared(split, k):
+    def cleared(split):
         return reduce(add, (c * powers[k - j] if j < k else c
                             for j, c in split.items()))
 
-    def normalize_entry(entry):
-        if not entry:
-            return entry
-        num = entry._num.coefficients_in(name)
-        den_id = id(entry._den)
-        if den_id not in splits:
-            den = entry._den.coefficients_in(name)
-            splits[den_id] = den, max(den)
-        den, den_degree = splits[den_id]
-        k = max(den_degree, *num)
-        while len(powers) <= k:
-            powers.append(powers[-1] * powers[1])
-        key = (den_id, k)
-        if key not in cleared_denominators:
-            cleared_denominators[key] = cleared(den, k)
-        return ScalarFraction(cleared(num, k), cleared_denominators[key])
-
-    entries = tuple(tuple(normalize_entry(e) for e in row) for row in gram.entries)
-    return GramMatrix(gram.basis, entries)
+    numerators = tuple(
+        tuple(cleared(split) if split else a for a, split in zip(row, split_row))
+        for row, split_row in zip(gram.numerators, splits)
+    )
+    return GramMatrix(gram.basis, numerators, cleared(den))
 
 
 def standard_degree_two_basis(model):
@@ -495,18 +490,20 @@ class OrthogonalityReport:
 
 def check_block_orthogonality(gram):
     """Verify the zero blocks of a Gram matrix on a basis of homogeneous
-    forms, read off its entries: every entry, in either order, that pairs a
-    (2,0) or (0,2) form with anything but the opposite type is zero."""
+    forms, read off its numerators: every entry, in either order, that pairs
+    a (2,0) or (0,2) form with anything but the opposite type is zero.  Only
+    a violating entry is rendered."""
     typed = [(form, form.bidegree()) for form in gram.basis]
     outer = {(2, 0), (0, 2)}
     checked = 0
     violations = []
-    for (a, p), row in zip(typed, gram.entries):
+    for (a, p), row in zip(typed, gram.numerators):
         for (b, q), value in zip(typed, row):
             if (p in outer or q in outer) and {p, q} != outer:
                 checked += 1
                 if value:
-                    violations.append((str(a), str(b), str(value)))
+                    entry = ScalarFraction(value, gram.denominator)
+                    violations.append((str(a), str(b), str(entry)))
     return OrthogonalityReport(pairs_checked=checked, violations=tuple(violations))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .exterior import Coframe, Generator
-from .scalars import PolyScalar, VariableTable, without_content
+from .scalars import VariableTable, _poly, without_content
 
 
 @dataclass(frozen=True)
@@ -91,19 +91,14 @@ def _remove_content(coordinates, table):
     polys = [p for p in coordinates.values() if p]
     if not polys:
         return coordinates
-    n_vars = len(table.names)
-    common = [None] * n_vars
-    for poly in polys:
-        for exps in poly.ints:
-            for k in range(n_vars):
-                low = common[k]
-                common[k] = exps[k] if low is None else min(low, exps[k])
-    shift = tuple(common)
-    reduced = {}
-    for key, poly in zip(coordinates, without_content(list(coordinates.values()))):
-        terms = {
-            tuple(e - s for e, s in zip(exps, shift)): coeff
-            for exps, coeff in poly.terms.items()
-        }
-        reduced[key] = PolyScalar(table, terms)
-    return reduced
+    shift = tuple(min(exps[k] for poly in polys for exps in poly.ints)
+                  for k in range(len(table.names)))
+    # without_content leaves integer polynomials, and shifting every
+    # exponent keeps the canonical form
+    return {
+        key: _poly(table, poly.den, {
+            tuple(e - s for e, s in zip(exps, shift)): parts
+            for exps, parts in poly.ints.items()
+        })
+        for key, poly in zip(coordinates, without_content(list(coordinates.values())))
+    }

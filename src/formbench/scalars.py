@@ -5,14 +5,11 @@ A polynomial is stored as Gaussian-integer numerators over one positive
 denominator, in lowest terms, so its ring operations run on Python ints and
 build no Fraction; a GaussianRational of two Fractions is made only where a
 single coefficient is read (``terms``, ``constant_value``, ``substitute``,
-rendering).  A ScalarFraction keeps the parts it is given and removes their
-common integer content only when ``numerator``, ``denominator`` or ``str()``
-is first read.
+rendering).  A ScalarFraction removes the common integer content of its
+parts on construction.
 
 Everything here is immutable after construction and safe to share between
-threads; all operations return fresh values.  The one memo, a
-ScalarFraction's content-free pair, is written once on first read, and
-writing it again would store an equal pair.
+threads; all operations return fresh values.
 """
 
 from __future__ import annotations
@@ -545,55 +542,35 @@ class ScalarFraction:
     """A formal quotient of polynomials, compared by cross-multiplication
     unless a numerator is zero or the denominators are equal.
 
-    The numerator and denominator are kept as given (``_num``, ``_den``);
-    truth and equality work on them, since cross-multiplication does not
-    depend on content, and two fractions that share one denominator object
-    compare numerators only.  ``numerator`` and ``denominator`` are the pair
-    with its common integer content removed, a zero reading 0 / 1; that pair
-    is computed on the first read and memoized.  No polynomial gcd is
-    attempted.  The memo is written once, and a racing second write stores
-    an equal pair, so instances stay immutable in value and thread-safe.
+    Only integer content is removed on construction, and a zero reads
+    0 / 1; no polynomial gcd is attempted.
     """
 
-    __slots__ = ("_num", "_den", "_lowest")
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator, denominator=1):
         if not isinstance(numerator, PolyScalar):
             raise TypeError("numerator must be a PolyScalar")
-        denominator = numerator.table.coerce(denominator)
+        table = numerator.table
+        denominator = table.coerce(denominator)
         if not denominator:
             raise ZeroDivisionError("zero denominator")
-        _set(self, "_num", numerator)
-        _set(self, "_den", denominator)
-        _set(self, "_lowest", None)
+        if numerator:
+            numerator, denominator = without_content((numerator, denominator))
+        else:
+            denominator = table.one()
+        _set(self, "numerator", numerator)
+        _set(self, "denominator", denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarFraction is immutable")
 
-    def _lowest_terms(self):
-        pair = self._lowest
-        if pair is None:
-            if self._num:
-                pair = tuple(without_content((self._num, self._den)))
-            else:
-                pair = (self._num, self.table.one())
-            _set(self, "_lowest", pair)
-        return pair
-
-    @property
-    def numerator(self):
-        return self._lowest_terms()[0]
-
-    @property
-    def denominator(self):
-        return self._lowest_terms()[1]
-
     @property
     def table(self):
-        return self._num.table
+        return self.numerator.table
 
     def __bool__(self):
-        return bool(self._num)
+        return bool(self.numerator)
 
     def _coerce(self, other):
         if isinstance(other, ScalarFraction):
@@ -609,11 +586,11 @@ class ScalarFraction:
         if other.table is not self.table and other.table != self.table:
             raise ValueError("scalars over different variable tables")
         # exact: denominators are nonzero and Q(i)[vars] has no zero divisors
-        num, other_num = self._num, other._num
+        num, other_num = self.numerator, other.numerator
         if not (num and other_num):
             return not (num or other_num)
-        den, other_den = self._den, other._den
-        if den is other_den or den == other_den:
+        den, other_den = self.denominator, other.denominator
+        if den == other_den:
             return num == other_num
         return num * other_den == other_num * den
 
@@ -631,7 +608,7 @@ class ScalarFraction:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarFraction(-self._num, self._den)
+        return ScalarFraction(-self.numerator, self.denominator)
 
     def __sub__(self, other):
         other = self._coerce(other)

@@ -408,26 +408,31 @@ def formal_pair_oracle_gram():
 
 
 def mixed_degree_gram():
-    # V-degrees 0, 1 and 2, a V in one denominator and one zero entry
+    # numerators of V-degrees 0, 1 and 2 and one zero, over a denominator with V
     model = kodaira()
     space = make_symplectic(model, kodaira_sigma(model))
     table = model.table
     v, mu, mub = (table.variable(name) for name in ("V", "mu", "mub"))
-    entries = (
-        (ScalarFraction(mu * 3 + I), ScalarFraction(v * mu - 2, mub * 5)),
-        (ScalarFraction(v * v * I + v, v * mu + 1), ScalarFraction(table.zero())),
-    )
-    return space, GramMatrix((), entries)
+    numerators = ((mu * 3 + I, v * mu - 2), (v * v * I + v, table.zero()))
+    return space, GramMatrix((), numerators, v * mu + mub * 5)
+
+
+def empty_gram():
+    model = kodaira()
+    space = make_symplectic(model, kodaira_sigma(model))
+    return space, GramMatrix((), (), model.table.variable("V") + 1)
 
 
 @pytest.mark.parametrize(
-    "make_gram", [kodaira_oracle_gram, formal_pair_oracle_gram, mixed_degree_gram]
+    "make_gram",
+    [kodaira_oracle_gram, formal_pair_oracle_gram, mixed_degree_gram, empty_gram],
 )
 def test_normalize_gram_matches_substitute_and_divide(make_gram):
     space, gram = make_gram()
     inv = ScalarFraction(space.model.table.one(), space.mu * space.mu.conjugate())
     normalized = normalize_gram(space, gram)
     assert normalized.size == gram.size
+    assert "V" not in normalized.denominator.variables_used()
     for row, normalized_row in zip(gram.entries, normalized.entries):
         for entry, value in zip(row, normalized_row):
             assert value == (
@@ -449,6 +454,9 @@ def test_gram_closed_form_rejects_unsupported():
     doubled = [form.scaled(2) for form in standard_degree_two_basis(flat)]
     with pytest.raises(UnsupportedBasis):
         gram_matrix(flat_space, doubled, mode="closed_form")
+    foreign = standard_degree_two_basis(torus(2))
+    with pytest.raises(ModelMismatch, match="^basis form belongs to a different model$"):
+        gram_matrix(flat_space, foreign, mode="closed_form")
     with pytest.raises(ValueError):
         gram_matrix(flat_space, standard_degree_two_basis(flat), mode="nope")
 
@@ -498,12 +506,13 @@ def test_block_orthogonality_names_a_planted_entry():
     # 28^2 entries less the (1,1) block and both (2,0)/(0,2) blocks
     assert report.ok
     assert report.pairs_checked == 28 ** 2 - 16 ** 2 - 2 * 6 ** 2
-    planted = ScalarFraction(gram.basis[0].coframe.table.constant(3))
-    entries = [list(row) for row in gram.entries]
-    entries[0][6] = planted  # x1^x2 against x1^xb1
+    table = gram.basis[0].coframe.table
+    numerators = [list(row) for row in gram.numerators]
+    numerators[0][6] = table.constant(3)  # x1^x2 against x1^xb1
     report = check_block_orthogonality(
-        GramMatrix(gram.basis, tuple(map(tuple, entries))))
-    assert report.violations == (("x1^x2", "x1^xb1", "3"),)
+        GramMatrix(gram.basis, tuple(map(tuple, numerators)), table.constant(2)))
+    # the violating entry is rendered over the shared denominator
+    assert report.violations == (("x1^x2", "x1^xb1", "(3) / (2)"),)
 
 
 def test_block_orthogonality_on_kodaira_de_rham_basis():
@@ -688,11 +697,17 @@ def test_gram_discrepancies_flags_entries():
     oracle = normalize_gram(space, gram_matrix(space, basis, mode="oracle"))
     closed = gram_matrix(space, basis, mode="closed_form")
     assert gram_discrepancies(oracle, closed) == []
-    # perturb one closed-form entry and the audit names it
-    rows = [list(row) for row in closed.entries]
+    assert oracle.denominator != closed.denominator
+    # perturb one closed-form numerator and fill one zero entry: the audit
+    # names both, by cross-multiplication and by zero pattern against the
+    # oracle, and by numerators against the closed form's own denominator
+    rows = [list(row) for row in closed.numerators]
+    assert not rows[0][0]
     rows[0][5] = rows[0][5] * 3
-    broken = GramMatrix(closed.basis, tuple(tuple(row) for row in rows))
-    assert gram_discrepancies(oracle, broken) == [(0, 5)]
+    rows[0][0] = rows[0][5]
+    broken = GramMatrix(closed.basis, tuple(map(tuple, rows)), closed.denominator)
+    assert gram_discrepancies(oracle, broken) == [(0, 0), (0, 5)]
+    assert gram_discrepancies(closed, broken) == [(0, 0), (0, 5)]
 
 
 def test_nu_reconstructs_sigma_power():
@@ -853,21 +868,22 @@ def test_gram_oracle_wedges_a_fixed_number_of_times(monkeypatch):
     gram = gram_matrix(space, basis, mode="oracle")
     assert (calls["wedge"], calls["integrate"]) == (6, 0)
     # the entries that vanish by bidegree cost no product when normalized
-    assert sum(not entry for row in gram.entries for entry in row) == 568
+    assert sum(not entry for row in gram.numerators for entry in row) == 568
     counted(PolyScalar, "__mul__")
-    zero, value = gram.entries[0][0], gram.entries[0][22]
+    zero, value = gram.numerators[0][0], gram.numerators[0][22]
     assert not zero and value
 
-    def normalized(entries):
+    def normalized(numerators):
         calls["__mul__"] = 0
-        result = normalize_gram(space, GramMatrix(basis[:len(entries)], entries))
+        result = normalize_gram(space, GramMatrix(
+            basis[:len(numerators)], numerators, gram.denominator))
         return calls["__mul__"], result
 
     alone, alone_gram = normalized(((value,),))
     padded, padded_gram = normalized(((value, zero), (zero, zero)))
     assert alone > 0 and padded == alone
     assert padded_gram.render() == [[str(alone_gram.entries[0][0]), "0"], ["0", "0"]]
-    assert padded_gram.entries[1][1] is zero
+    assert padded_gram.numerators[1][1] is zero
 
 
 def test_gram_oracle_checks_each_basis_form():
@@ -911,27 +927,28 @@ def test_gram_pipeline_removes_no_content(monkeypatch):
 
 def test_normalize_gram_clears_a_shared_denominator_once(monkeypatch):
     space, oracle = formal_pair_oracle_gram()
-    value = oracle.entries[0][22]
+    value = oracle.numerators[0][22]
     products = _counting(monkeypatch, PolyScalar, ["__mul__", "__rmul__"])
     # mu*mub, its square and the oracle's unit denominator times that square
     normalized = normalize_gram(space, oracle)
     assert products == [3]
     products[0] = 0
-    alone = normalize_gram(space, GramMatrix(oracle.basis[:1], ((value,),)))
+    alone = normalize_gram(
+        space, GramMatrix(oracle.basis[:1], ((value,),), oracle.denominator))
     assert products == [3]
     assert alone.entries[0][0] == normalized.entries[0][22]
-    shared = {id(entry._den) for row in normalized.entries for entry in row if entry}
-    assert len(shared) == 1
+    assert alone.denominator == normalized.denominator == (
+        space.mu * space.mu.conjugate()) ** 2
 
 
 def test_closed_form_zeros_render_as_zero():
     space, oracle = formal_pair_oracle_gram()
     one = space.model.table.one()
     closed = gram_matrix(space, oracle.basis, mode="closed_form")
+    assert closed.denominator == space.mu * space.mu.conjugate() * 2
     zeros = [entry for row in closed.entries for entry in row if not entry]
     assert len(zeros) == 568
     for entry in zeros:
-        assert entry._den == space.mu * space.mu.conjugate() * 2
         assert (entry.numerator, entry.denominator) == (space.model.table.zero(), one)
         assert str(entry) == "0"
     # zeros sit where the normalized oracle has them, whatever their route

@@ -48,16 +48,27 @@ def test_benchmark_workloads_run_one_operation_each():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-def test_traced_cohomology_pass_is_correct():
-    # the tracer wraps linalg and dga functions by name and reads their
-    # arguments, which no other test exercises
+def _traced_pass(workload):
+    """The result line of one traced pass of a workload."""
     done = subprocess.run(
-        [sys.executable, "run.py", "--workload", "cohomology", "--seed", "7",
+        [sys.executable, "run.py", "--workload", workload, "--seed", "7",
          "--seconds", "1", "--trace", "1"],
         cwd=BENCH, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_traced_cohomology_pass_is_correct():
+    # the tracer wraps linalg and dga functions by name and reads their
+    # arguments, which no other test exercises
+    result = _traced_pass("cohomology")
+    assert result["correct"] is True and result["failed"] == 0, result
+
+
+def test_traced_gram_pass_is_correct():
+    # the tracer wraps ScalarFraction and GramMatrix.matches by name
+    result = _traced_pass("gram")
     assert result["correct"] is True and result["failed"] == 0, result
 
 
