@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain, combinations
-from operator import add, ne
+from operator import add
 
 from .errors import (
     DegenerateSymplectic,
@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedBasis,
 )
 from .exterior import merge_monomials
-from .scalars import ScalarFraction
+from .scalars import ScalarFraction, _exact_quotient
 
 
 class AntisymmetricMatrix:
@@ -315,7 +315,9 @@ class GramMatrix:
                      for row in self.numerators)
 
     def matches(self, other):
-        return self.size == other.size and not gram_discrepancies(self, other)
+        """Whether other has the same size and equal entries; stops at the
+        first differing entry (gram_discrepancies names them all)."""
+        return self.size == other.size and next(_differing(self, other), None) is None
 
     def is_symmetric(self):
         rows = self.numerators
@@ -334,8 +336,9 @@ def gram_matrix(space, basis, mode="oracle"):
     and no integration) and assembles only the entries some pairing term
     reaches, with V formal, over the unit denominator.  closed_form mode
     emits the coefficient formulas over the denominator 2*mu*mub, and is
-    only available for torus models over the standard monomial basis.
-    After normalize_gram, both agree entrywise.
+    only available for torus models over the standard monomial basis; each
+    distinct nu*nu_bar product, and its multiple by n, is made once per
+    call.  After normalize_gram, both agree entrywise.
     """
     basis = tuple(basis)
     zero = space.model.table.zero()
@@ -354,8 +357,20 @@ def gram_matrix(space, basis, mode="oracle"):
         raise UnsupportedBasis("closed form entries require a torus model")
     kinds = [_classify_standard(space, form) for form in basis]
     nu_bar = {pair: value.conjugate() for pair, value in space.nu.items()}
+
+    # neither memo refers to itself, so both are freed on return
+    @cache
+    def product(left, right):
+        return space.nu[left] * nu_bar[right]
+
+    @cache
+    def scaled(left, right):
+        # a unit n multiplies nothing
+        value = product(left, right)
+        return value * space.n if space.n != 1 else value
+
     numerators = tuple(
-        tuple(_closed_form_numerator(space, nu_bar, a, b) or zero for b in kinds)
+        tuple(_closed_form_numerator(product, scaled, a, b) or zero for b in kinds)
         for a in kinds
     )
     return GramMatrix(basis, numerators, space.mu * space.mu.conjugate() * 2)
@@ -379,10 +394,10 @@ def _classify_standard(space, form):
     return ("11", (mon[0] + 1, mon[1] - h + 1))
 
 
-def _closed_form_numerator(space, nu_bar, a, b):
+def _closed_form_numerator(product, scaled, a, b):
     """The numerator over 2*mu*mub of one closed-form Gram entry, None
-    where the entry vanishes by type; nu_bar holds the conjugates of
-    space.nu."""
+    where the entry vanishes by type; product(left, right) is
+    nu[left] * nu_bar[right] and scaled(left, right) is n times it."""
     kind_a, idx_a = a
     kind_b, idx_b = b
     if {kind_a, kind_b} == {"20", "02"}:
@@ -390,7 +405,7 @@ def _closed_form_numerator(space, nu_bar, a, b):
             idx_a, idx_b = idx_b, idx_a
         alpha, beta = idx_a
         gamma, delta = idx_b
-        value = space.nu[(alpha, beta)] * nu_bar[(gamma, delta)]
+        value = product((alpha, beta), (gamma, delta))
         return -value if (alpha + beta + gamma + delta) % 2 else value
     if kind_a == "11" and kind_b == "11":
         alpha, beta = idx_a
@@ -400,11 +415,8 @@ def _closed_form_numerator(space, nu_bar, a, b):
         e = alpha + beta + gamma + delta
         if (alpha < gamma) == (beta < delta):
             e += 1
-        value = (
-            space.nu[(min(alpha, gamma), max(alpha, gamma))]
-            * nu_bar[(min(beta, delta), max(beta, delta))]
-            * space.n
-        )
+        value = scaled((min(alpha, gamma), max(alpha, gamma)),
+                       (min(beta, delta), max(beta, delta)))
         return -value if e % 2 else value
     return None
 
@@ -414,23 +426,37 @@ def gram_discrepancies(reference, candidate):
 
     Used to audit the closed-form coefficient formulas against the
     integration oracle: a nonempty result names the defective closed-form
-    entries instead of guessing a sign convention.  Numerators over equal
-    denominators are compared directly; otherwise only pairs of nonzero
-    numerators are cross-multiplied."""
+    entries instead of guessing a sign convention.  Zero patterns are
+    compared first; each pair of nonzero numerators a/p and b/q is then
+    compared as a*y == b*x, with x/y = p/q cofactors found once per call by
+    one exact division of the denominators, so it costs at most one
+    product when one denominator divides the other (none when they are
+    equal) and two otherwise."""
     if reference.size != candidate.size:
         raise ValueError("Gram matrices have different sizes")
+    return list(_differing(reference, candidate))
+
+
+def _differing(reference, candidate):
+    """The positions of gram_discrepancies, in row-major order, as they are
+    found.  Exact: Q(i)[vars] has no zero divisors and p*y == q*x with p, q
+    nonzero."""
     p, q = reference.denominator, candidate.denominator
-    if p == q:
-        differs = ne
-    else:
-        def differs(a, b):
-            return a * q != b * p if a and b else bool(a) != bool(b)
-    return [
-        (i, j)
-        for i, rows in enumerate(zip(reference.numerators, candidate.numerators))
-        for j, pair in enumerate(zip(*rows))
-        if differs(*pair)
-    ]
+    one = p.table.one()
+    x, y = _exact_quotient(p, q), one  # p = q*x
+    if x is None:
+        x, y = one, _exact_quotient(q, p)  # q = p*y
+        if y is None:
+            x, y = p, q
+    # a unit cofactor multiplies nothing
+    scale_a, scale_b = y != one, x != one
+    for i, rows in enumerate(zip(reference.numerators, candidate.numerators)):
+        for j, (a, b) in enumerate(zip(*rows)):
+            if a and b:
+                if (a * y if scale_a else a) != (b * x if scale_b else b):
+                    yield i, j
+            elif a or b:
+                yield i, j
 
 
 def normalize_gram(space, gram):
@@ -443,7 +469,8 @@ def normalize_gram(space, gram):
     renders as an equal but unreduced fraction; the oracle on a basis with
     V-free coefficients is V-homogeneous and has no such entry."""
     name = space.model.coframe.volume_variable
-    splits = [[a.coefficients_in(name) for a in row] for row in gram.numerators]
+    splits = [[a.coefficients_in(name) if a else {} for a in row]
+              for row in gram.numerators]
     den = gram.denominator.coefficients_in(name)
     k = max(chain(den, *chain.from_iterable(splits)))
     powers = [space.model.table.one(), space.mu * space.mu.conjugate()]

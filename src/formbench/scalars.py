@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 
 from .errors import ConjugationMismatch, UnknownVariable
 
@@ -538,9 +538,33 @@ def _reduced(table, den, ints):
                  {e: (re // g, im // g) for e, (re, im) in ints.items()})
 
 
+def _exact_quotient(p, q):
+    """p / q when the nonzero q divides p in Q(i)[vars], None otherwise.
+
+    Division by the lex-leading term of q, read on the integer form: the
+    remainder's leading term is divided by q's (None when an exponent goes
+    negative) and that term times q is subtracted.  Each step cancels the
+    remainder's leading term, so the loop ends."""
+    f = max(q.ints)
+    a, b = q.ints[f]
+    quotient, rest = p.table.zero(), p
+    while rest:
+        e = max(rest.ints)
+        if any(i < j for i, j in zip(e, f)):
+            return None
+        # (x + iy)/rest.den over (a + ib)/q.den, as (x + iy)(a - ib) q.den
+        # over rest.den |a + ib|^2
+        x, y = rest.ints[e]
+        term = _reduced(p.table, rest.den * (a * a + b * b), {
+            tuple(map(sub, e, f)): ((x * a + y * b) * q.den, (y * a - x * b) * q.den)})
+        quotient, rest = quotient + term, rest - term * q
+    return quotient
+
+
 class ScalarFraction:
     """A formal quotient of polynomials, compared by cross-multiplication
-    unless a numerator is zero or the denominators are equal.
+    unless a numerator is zero or the denominators are equal; Gram matrices
+    are compared on their numerators instead (bbf.gram_discrepancies).
 
     Only integer content is removed on construction, and a zero reads
     0 / 1; no polynomial gcd is attempted.

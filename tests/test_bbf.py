@@ -1,3 +1,6 @@
+import gc
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +14,7 @@ from formbench.bbf import (
     GramMatrix,
     check_block_orthogonality,
     bilinear,
+    gram_discrepancies,
     gram_matrix,
     make_symplectic,
     normalize_gram,
@@ -398,11 +402,11 @@ def kodaira_oracle_gram():
     return space, gram_matrix(space, model.cohomology("de_rham", 2).basis)
 
 
-def formal_pair_oracle_gram():
+def formal_pair_oracle_gram(seed=131, formal=(2, 4)):
     # a 4-torus sigma with one coefficient left formal, as in the gram benchmark
     model = torus(4, parameters=[("l", "lb")])
-    values = random_lambda(random.Random(131), 4)
-    values[(2, 4)] = model.table.variable("l")
+    values = random_lambda(random.Random(seed), 4)
+    values[formal] = model.table.variable("l")
     space = make_symplectic(model, sigma_from_lambda(model, values))
     return space, gram_matrix(space, standard_degree_two_basis(model))
 
@@ -699,8 +703,9 @@ def test_gram_discrepancies_flags_entries():
     assert gram_discrepancies(oracle, closed) == []
     assert oracle.denominator != closed.denominator
     # perturb one closed-form numerator and fill one zero entry: the audit
-    # names both, by cross-multiplication and by zero pattern against the
-    # oracle, and by numerators against the closed form's own denominator
+    # names both, by one product with the quotient of the denominators and
+    # by zero pattern against the oracle, and by numerators alone against
+    # the closed form's own denominator
     rows = [list(row) for row in closed.numerators]
     assert not rows[0][0]
     rows[0][5] = rows[0][5] * 3
@@ -941,6 +946,73 @@ def test_normalize_gram_clears_a_shared_denominator_once(monkeypatch):
         space.mu * space.mu.conjugate()) ** 2
 
 
+def test_gram_check_makes_one_product_per_entry(monkeypatch):
+    space, oracle = formal_pair_oracle_gram()
+    normalized = normalize_gram(space, oracle)
+    quotient = space.mu * space.mu.conjugate() * Fraction(1, 2)
+    products = _counting(monkeypatch, PolyScalar, ["__mul__", "__rmul__"])
+    # 36 distinct nu*nu_bar products, their 36 multiples by n, mu*mub and
+    # its double
+    closed = gram_matrix(space, oracle.basis, mode="closed_form")
+    assert products == [74]
+    products[0] = 0
+    # the closed form's 2*mu*mub divides (mu*mub)^2: one product per step
+    # of the division, one per term of the quotient, then one product by
+    # the quotient per nonzero entry
+    assert normalized.matches(closed)
+    nonzero = sum(bool(a) for row in normalized.numerators for a in row)
+    assert products == [len(quotient.ints) + nonzero] == [4 + 216]
+
+
+def test_closed_form_memo_is_freed_on_return():
+    # the per-call product memos form no reference cycle, so a gram op
+    # leaves nothing for the cyclic collector
+    space, oracle = formal_pair_oracle_gram()
+    gc.collect()
+    gc.disable()
+    try:
+        gram_matrix(space, oracle.basis, mode="closed_form")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_gram_discrepancies_cross_multiplies_unrelated_denominators(monkeypatch):
+    # equal entries over denominators that do not divide each other
+    space, oracle = formal_pair_oracle_gram()
+    closed = gram_matrix(space, oracle.basis, mode="closed_form")
+    table = space.model.table
+    l, lb = table.variable("l"), table.variable("lb")
+
+    def rescaled(factor, rows=closed.numerators):
+        return GramMatrix(closed.basis, tuple(tuple(a * factor for a in row)
+                                              for row in rows),
+                          closed.denominator * factor)
+
+    left, right = rescaled(l + 1), rescaled(lb + 2)
+    assert scalars._exact_quotient(left.denominator, right.denominator) is None
+    assert scalars._exact_quotient(right.denominator, left.denominator) is None
+    assert gram_discrepancies(left, right) == [] and left.matches(right)
+    # plant a wrong nonzero entry, a filled zero and a sign flip
+    rows = [list(row) for row in closed.numerators]
+    planted = [(3, 24), (9, 9), (16, 18)]
+    first = planted[0]
+    assert rows[3][24] and not rows[9][9] and rows[16][18]
+    rows[3][24] = rows[3][24] * 3
+    rows[9][9] = rows[3][24]
+    rows[16][18] = -rows[16][18]
+    broken = rescaled(lb + 2, rows)
+    assert gram_discrepancies(left, broken) == planted
+    # matches stops at the first planted entry: two products per nonzero
+    # entry up to it, row-major, and none in the two divisions, which fail
+    # at their first step
+    products = _counting(monkeypatch, PolyScalar, ["__mul__", "__rmul__"])
+    assert not left.matches(broken)
+    before = sum(bool(a) for i, row in enumerate(closed.numerators)
+                 for j, a in enumerate(row) if (i, j) <= first)
+    assert products == [2 * before]
+
+
 def test_closed_form_zeros_render_as_zero():
     space, oracle = formal_pair_oracle_gram()
     one = space.model.table.one()
@@ -955,3 +1027,19 @@ def test_closed_form_zeros_render_as_zero():
     normalized = normalize_gram(space, oracle).render()
     for closed_row, oracle_row in zip(closed.render(), normalized):
         assert [text == "0" for text in closed_row] == [text == "0" for text in oracle_row]
+
+
+def test_gram_renders_are_pinned():
+    # render() of the oracle, normalized and closed-form matrices of five
+    # seeded formal-pair sigmas, one formal pair each: a change to how the
+    # Gram matrices are built, normalized or compared must keep every
+    # rendered entry byte for byte
+    renders = []
+    for seed, formal in zip(range(1, 6), PAIRS4):
+        space, oracle = formal_pair_oracle_gram(seed, formal)
+        closed = gram_matrix(space, oracle.basis, mode="closed_form")
+        renders.append([gram.render()
+                        for gram in (oracle, normalize_gram(space, oracle), closed)])
+    digest = hashlib.sha256(json.dumps(renders).encode()).hexdigest()
+    assert digest == (
+        "0d993a9681fd24edbfac56dd73733ee7538e627006134fae7cf5798f203068b4")

@@ -392,6 +392,55 @@ def test_canonical_form_on_every_route():
             hash(p)
 
 
+def quotient_cases(rng, table):
+    """Seeded (q, r) pairs: random and wide factors, and constant divisors."""
+    for _ in range(40):
+        yield random_poly(rng, table), random_poly(rng, table)
+    for _ in range(10):
+        yield wide_poly(rng, table, max_terms=3), random_poly(rng, table)
+    for _ in range(10):
+        yield table.constant(nonzero_gaussian(rng)), wide_poly(rng, table)
+
+
+def test_exact_quotient_recovers_the_cofactor():
+    # over the gram benchmark's formal-pair table and a two-pair table, with
+    # a few cases cross-checked against sympy's division over QQ_I
+    import sympy
+
+    for seed, pairs in ((83, [("l", "lb")]), (89, [("l", "lb"), ("m", "mb")])):
+        rng = random.Random(seed)
+        table = VariableTable([("V", "V"), *pairs])
+        symbols = sympy.symbols(table.names)
+
+        def to_sympy(poly):
+            terms = {e: sympy.Rational(c.re.numerator, c.re.denominator)
+                     + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+                     for e, c in poly.terms.items()}
+            return sympy.Poly.from_dict(terms, *symbols, domain=sympy.QQ_I)
+
+        stray = table.monomial({"V": 3, pairs[-1][1]: 2}, 2 + I)
+        checked = 0
+        for k, (q, r) in enumerate(quotient_cases(rng, table)):
+            if not q:
+                continue
+            p = schoolbook_product(q, r)
+            got = assert_canonical(scalars._exact_quotient(p, q))
+            assert (got.den, got.ints) == (r.den, r.ints)
+            assert scalars._exact_quotient(table.zero(), q) == table.zero()
+            # a divisor of two or more terms divides no single monomial
+            unrelated = len(q.ints) > 1
+            if unrelated:
+                checked += 1
+                assert scalars._exact_quotient(p + stray, q) is None
+            if k % 10 == 0:
+                quotient, remainder = sympy.div(to_sympy(p), to_sympy(q))
+                assert remainder.is_zero and quotient == to_sympy(got)
+                if unrelated:
+                    _, remainder = sympy.div(to_sympy(p + stray), to_sympy(q))
+                    assert not remainder.is_zero
+        assert checked >= 20
+
+
 def test_content_removal_matches_fraction_reference():
     rng = random.Random(79)
     table = small_table()
