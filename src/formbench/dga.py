@@ -6,9 +6,10 @@ Dolbeault, Bott-Chern and Aeppli cohomologies are computed by exact
 elimination on Gaussian-integer rows, read off the generator differentials
 cleared over one common denominator, so there is no tolerance anywhere.
 
-Models are immutable after validation.  Cohomology reports and operator
-images are memoized per model; each memo entry is written once under the GIL
-and recomputation is idempotent, so concurrent readers are safe.  A report
+Models are immutable after validation.  Cohomology reports, operator images
+and the monomial basis of each slot (a tuple) are memoized per model; each
+memo entry is written once under the GIL and recomputation is idempotent, so
+concurrent readers are safe.  A report
 keeps its representatives as Gaussian-integer rows and builds its basis forms
 on the first read of ``basis``, memoized the same way.
 """
@@ -131,6 +132,7 @@ class StructureModel:
         self._d_rows = None  # the differentials times D, on Gaussian integers
         self._d_row_cache = {}  # monomial -> D times its d, on Gaussian integers
         self._image_cache = {}  # (source slot, step) -> images
+        self._spaces = {}  # slot -> tuple of monomials
         self._reports = {}
         self._zero = coframe.zero_form()
         self.validate()
@@ -253,10 +255,14 @@ class StructureModel:
         return [h + a for h in holo for a in anti]
 
     def _space(self, slot):
-        """The monomial basis of a degree k or a bidegree (p, q)."""
-        if isinstance(slot, int):
-            return self.monomials_of_degree(slot)
-        return self.monomials_of_bidegree(*slot)
+        """The monomial basis of a degree k or a bidegree (p, q), as a tuple;
+        memoized."""
+        space = self._spaces.get(slot)
+        if space is None:
+            space = tuple(self.monomials_of_degree(slot) if isinstance(slot, int)
+                          else self.monomials_of_bidegree(*slot))
+            self._spaces[slot] = space
+        return space
 
     def _vector(self, form, theory, slot, monomials):
         index = {m: i for i, m in enumerate(monomials)}
@@ -307,7 +313,7 @@ class StructureModel:
                 outer = self._images((slot[0], slot[1] + 1), (1, 0))
                 cached = [_row((c, a * x - b * y, a * y + b * x)
                                for j, (a, b) in row.items()
-                               for c, (x, y) in outer[j].items())
+                               for c, (x, y) in outer[j].items()) if row else {}
                           for row in self._images(slot, (0, 1))]
             else:
                 index = {m: i for i, m in enumerate(self._space(_shift(slot, step)))}

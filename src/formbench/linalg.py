@@ -5,17 +5,21 @@ Dense matrices are lists of row lists of GaussianRational; ``rref`` and
 ``quotient_representatives``, which takes each operator as its image columns
 and returns the kernel modulo the boundaries from one echelon, all sparse
 Gaussian-integer rows ``{column: (re, im)}`` holding only the nonzero
-entries; ``nullspace`` is its case without boundaries.  The elimination
-clears a pivot by cross-multiplication and keeps each echelon row primitive
-with a positive-integer pivot, so no fraction is formed.  A returned row is a
+entries; ``nullspace`` is its case without boundaries.  The echelon is a dict
+{pivot: (s, row)}, each row pivoting on its least key.  A vector is reduced
+in key order: a heap holds the keys of the vector that are pivots, and each
+subtracted row can only bring in larger keys, so the cost of an insert is
+the rows it meets, not the size of the echelon.  A pivot is cleared by
+cross-multiplication and each echelon row is kept primitive with a
+positive-integer pivot, so no fraction is formed.  A returned row is a
 positive integer multiple of the vector the reduced row echelon form over
 Q(i) gives, which changes no kernel and no span; the caller divides once.
-Elimination pivots on the first nonzero entry in key order; there is no
-numerical tolerance anywhere in the package.
+There is no numerical tolerance anywhere in the package.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .scalars import ONE, ZERO
@@ -52,26 +56,37 @@ def rref(matrix):
 
 
 def _eliminate(v, echelon):
-    """A copy of v with the pivot column of every (pivot, (s, row)) item
+    """A fresh copy of v with every pivot of the echelon {pivot: (s, row)}
     cleared, each by the cross-multiplication s*v - v[pivot]*row; v itself,
     which may be a memoized operator image, is left alone.
 
-    Each row is s at its pivot and 0 at the pivots listed before it, so one
-    pass in order clears all of them.  The result is a positive integer
-    multiple of the remainder over Q(i), which is unique.
+    A row's pivot is its least key, so subtracting it brings in only larger
+    keys: clearing the pivots of v in increasing key order, from a heap that
+    each subtracted row's new pivots join, touches only the rows v meets and
+    never undoes a cleared pivot.  The result is a positive integer multiple
+    of the remainder over Q(i), which is unique.
     """
     v = dict(v)
-    for pivot, (s, row) in echelon:
+    heap = [c for c in v if c in echelon]
+    heapify(heap)
+    while heap:
+        pivot = heappop(heap)
         lead = v.get(pivot)
-        if lead is None:
+        if lead is None:  # cancelled, or a key pushed twice
             continue
         a, b = lead
+        s, row = echelon[pivot]
         if s != 1:
             v = {c: (s * x, s * y) for c, (x, y) in v.items()}
         for c, (x, y) in row.items():
-            re, im = v.get(c, (0, 0))
-            re -= a * x - b * y
-            im -= a * y + b * x
+            old = v.get(c)
+            if old is None:
+                re, im = -(a * x - b * y), -(a * y + b * x)
+                if c in echelon:
+                    heappush(heap, c)
+            else:
+                re = old[0] - (a * x - b * y)
+                im = old[1] - (a * y + b * x)
             if re or im:
                 v[c] = (re, im)
             else:
@@ -124,20 +139,21 @@ def quotient_representatives(operators, boundaries):
 
     ``operators[j][i]`` is the image {r: (re, im)} of basis vector i under
     operator j.  The boundaries must lie in the common kernel, as they do
-    when d^2, delbar^2 and the deldelbar compositions vanish.  They go in
-    first; then each basis vector i, in order, goes in as 1 at i plus its
-    images under the keys ~(r * len(operators) + j), which sort below every
-    basis index and so pivot first.  A remainder whose images cancel is a
+    when d^2, delbar^2 and the deldelbar compositions vanish.  The nonzero
+    ones go in first; then each basis vector i, in order, goes in as 1 at i
+    plus its images under the keys ~(r * len(operators) + j), which sort
+    below every basis index and so pivot first; with no images and no pivot
+    at i, it is its own remainder and skips the elimination.  A remainder whose images cancel is a
     new class, returned as (s, row): primitive, with the positive integer s
     at its first nonzero column, so that row / s is the echelon-form
     representative.
     """
     width = len(operators)
-    echelon = {}  # pivot key -> (s, row), in insertion order
+    echelon = {}  # pivot key -> (s, row)
 
     def insert(vec):
         """The pivot of vec's remainder, now in the echelon; -1 if it is 0."""
-        v = _eliminate(vec, echelon.items())
+        v = _eliminate(vec, echelon)
         if not v:
             return -1
         pivot, s, row = _primitive(v)
@@ -145,9 +161,15 @@ def quotient_representatives(operators, boundaries):
         return pivot
 
     for b in boundaries:
-        insert(b)
+        if b:
+            insert(b)
     reps = []
     for i, images in enumerate(zip(*operators)):
+        if not any(images) and i not in echelon:
+            # {i: 1} meets no pivot, so it is its own remainder
+            echelon[i] = unit = (1, {i: (1, 0)})
+            reps.append(unit)
+            continue
         vec = {~(r * width + j): xy
                for j, image in enumerate(images) for r, xy in image.items()}
         vec[i] = (1, 0)

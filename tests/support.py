@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import gcd, lcm
 
-from formbench.linalg import rref
+from formbench.linalg import _primitive, rref
 from formbench.scalars import ONE, ZERO, GaussianRational, PolyScalar
 
 
@@ -212,6 +212,67 @@ def reference_quotient_representatives(cocycles, boundaries):
         if row is not None:
             reps.append(row)
     return reps
+
+
+# -- the insertion-order scan: reference route of the key-ordered elimination ---
+
+
+def scan_eliminate(v, echelon):
+    """A copy of v with the pivot of every (pivot, (s, row)) item cleared, in
+    insertion order, by the cross-multiplication s*v - v[pivot]*row.  Each
+    row is s at its pivot and 0 at the pivots inserted before it, so one pass
+    over the whole echelon clears all of them."""
+    v = dict(v)
+    for pivot, (s, row) in echelon:
+        lead = v.get(pivot)
+        if lead is None:
+            continue
+        a, b = lead
+        if s != 1:
+            v = {c: (s * x, s * y) for c, (x, y) in v.items()}
+        for c, (x, y) in row.items():
+            re, im = v.get(c, (0, 0))
+            re -= a * x - b * y
+            im -= a * y + b * x
+            if re or im:
+                v[c] = (re, im)
+            else:
+                del v[c]
+    return v
+
+
+def scan_quotient_representatives(operators, boundaries):
+    """``linalg.quotient_representatives`` with every vector, empty ones and
+    basis vectors without images included, reduced by the scan over the
+    whole echelon in insertion order."""
+    width = len(operators)
+    echelon = {}
+
+    def insert(vec):
+        v = scan_eliminate(vec, echelon.items())
+        if not v:
+            return -1
+        pivot, s, row = _primitive(v)
+        echelon[pivot] = (s, row)
+        return pivot
+
+    for b in boundaries:
+        insert(b)
+    reps = []
+    for i, images in enumerate(zip(*operators)):
+        vec = {~(r * width + j): xy
+               for j, image in enumerate(images) for r, xy in image.items()}
+        vec[i] = (1, 0)
+        pivot = insert(vec)
+        if pivot >= 0:
+            reps.append(echelon[pivot])
+    return reps
+
+
+def exact_rows(reps):
+    """The text of (s, row) representatives with each row's entries in key
+    order: equal texts mean the same integers, int for int."""
+    return repr([(s, sorted(row.items())) for s, row in reps])
 
 
 # -- dense oracles: rank, determinants and antisymmetric matrices ------------------

@@ -9,12 +9,14 @@ from support import (
     determinant,
     determinant_ring,
     divided,
+    exact_rows,
     gaussian,
     integer_row,
     nonzero_gaussian,
     rank,
     reference_nullspace,
     reference_quotient_representatives,
+    scan_quotient_representatives,
 )
 
 ZERO = GaussianRational(0)
@@ -286,7 +288,9 @@ def test_integer_row_elimination_matches_dense_reference():
 
 def test_integer_row_elimination_leaves_inputs_alone():
     # unit boundaries come first, so echelon rows with pivot s = 1 exist;
-    # that is where the elimination works on a row in place
+    # that is where the elimination works on a row in place.  Without them,
+    # the zero image columns 0, 2 and 5 take the unit path, and an empty
+    # boundary is skipped
     rng = random.Random(103)
     matrix = [[ZERO if c in (0, 2, 5) else x for c, x in enumerate(row)]
               for row in hard_matrix(rng, 3, 7)]
@@ -296,8 +300,56 @@ def test_integer_row_elimination_leaves_inputs_alone():
     kernel = linalg.nullspace(ops)
     kernel_copies = [dict(v) for v in kernel]
     assert len(kernel) > 3
-    linalg.quotient_representatives(ops, units)
-    linalg.quotient_representatives(ops, kernel)
+    empty = {}
+    inputs = [image for op in ops for image in op] + units + kernel + [empty]
+    for boundaries in (units, kernel, [empty], [empty, *units]):
+        reps = linalg.quotient_representatives(ops, boundaries)
+        assert not any(row is vec for _, row in reps for vec in inputs)
+        if boundaries == [empty]:
+            assert all((1, {c: (1, 0)}) in reps for c in (0, 2, 5))
+        for _, row in reps:  # a caller may keep and change what it gets
+            row.clear()
     assert ops == copies
     assert units == [{c: (1, 0)} for c in (0, 2, 5)]
     assert kernel == kernel_copies
+    assert empty == {}
+
+
+def with_zero_columns(rng, matrix, n):
+    """The matrix with one to three zero columns put in at random places,
+    and its new width."""
+    width = n + rng.randint(1, 3)
+    zero = set(rng.sample(range(width), width - n))
+    rows = []
+    for row in matrix:
+        entries = iter(row)
+        rows.append([ZERO if c in zero else next(entries) for c in range(width)])
+    return rows, width
+
+
+def test_key_ordered_elimination_matches_the_scan():
+    # reference route: the insertion-order scan over the whole echelon gives
+    # the same integers, with zero image columns (the unit path when no
+    # boundary pivots there) and empty boundaries added
+    rng = random.Random(29)
+    cases = []
+    for _ in range(60):
+        cols = rng.randint(1, 12)
+        density = rng.choice((0.05, 0.1, 0.2, 0.3))
+        cases.append((random_sparse_matrix(rng, rng.randint(1, 10), cols, density),
+                      cols, nonzero_gaussian))
+    for _ in range(30):
+        cols = rng.randint(1, 7)
+        cases.append((hard_matrix(rng, rng.randint(1, 7), cols), cols,
+                      wide_gaussian))
+    for matrix, n, coefficient in cases:
+        matrix, n = with_zero_columns(rng, matrix, n)
+        ops = operators(rng, matrix, n)
+        kernel = reference_nullspace(matrix, n)
+        boundaries = [integer_row(b) for b in kernel_combinations(
+            rng, kernel, n, rng.randint(0, 6), coefficient)]
+        for _ in range(rng.randint(1, 2)):
+            boundaries.insert(rng.randint(0, len(boundaries)), {})
+        for bounds in (boundaries, []):
+            assert exact_rows(linalg.quotient_representatives(ops, bounds)) == (
+                exact_rows(scan_quotient_representatives(ops, bounds)))
