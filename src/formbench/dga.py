@@ -1,17 +1,18 @@
 """Finite bigraded differential algebras given by structure equations.
 
 The differential of each generator is a degree-two form; d extends as a
-graded derivation and splits as d = del + delbar by bidegree.  De Rham,
-Dolbeault, Bott-Chern and Aeppli cohomologies are computed by exact
-elimination on Gaussian-integer rows, read off the generator differentials
-cleared over one common denominator, so there is no tolerance anywhere.
+graded derivation and splits as d = del + delbar by bidegree.  One Leibniz
+loop on bitmask monomials, its signs read off bit counts, gives both the
+operators on forms and the Gaussian-integer rows (cleared over one common
+denominator) on which De Rham, Dolbeault, Bott-Chern and Aeppli cohomology is
+computed by exact elimination, with no tolerance anywhere.
 
-Models are immutable after validation.  Cohomology reports, operator images
-and the monomial basis of each slot (a tuple) are memoized per model; each
-memo entry is written once under the GIL and recomputation is idempotent, so
-concurrent readers are safe.  A report
-keeps its representatives as Gaussian-integer rows and builds its basis forms
-on the first read of ``basis``, memoized the same way.
+Models are immutable after validation.  Reports, operator images, each
+monomial's integer d and each slot's monomials (a tuple) and their masks are
+memoized per model; each memo entry is written once under the GIL and
+recomputation is idempotent, so concurrent readers are safe.  A report keeps
+its representatives as Gaussian-integer rows and builds its basis forms on
+the first read of ``basis``, memoized the same way.
 """
 
 from __future__ import annotations
@@ -22,14 +23,9 @@ from functools import cached_property
 from itertools import combinations
 
 from . import linalg
-from .errors import (
-    IntegrabilityError,
-    ModelMismatch,
-    NotClosed,
-    UnknownVariable,
-    UnspecializedParameters,
-)
-from .exterior import Form, merge_monomials
+from .errors import (IntegrabilityError, ModelMismatch, NotClosed, UnknownVariable,
+                     UnspecializedParameters)
+from .exterior import Form
 from .scalars import ZERO, GaussianRational, _integer_terms
 
 DE_RHAM = "de_rham"
@@ -59,8 +55,7 @@ class CohomologyReport:
     ``(s, row)`` pair of ``linalg.quotient_representatives`` as one flat tuple
     ``(s, monomial, re, im, monomial, re, im, ...)`` in monomial order.
     ``basis`` builds their forms, each row divided by its s, on the first
-    read and memoizes the tuple.  Reports compare by every field but the
-    coframe object.
+    read and memoizes them.  Reports compare by every field but the coframe.
     """
 
     theory: str
@@ -128,11 +123,12 @@ class StructureModel:
             if form:
                 diff[coframe.position[name]] = form
         self._differentials = diff
-        self._d_terms = {pos: form.terms for pos, form in diff.items()}
-        self._d_rows = None  # the differentials times D, on Gaussian integers
-        self._d_row_cache = {}  # monomial -> D times its d, on Gaussian integers
+        self._form_table = _leibniz_table(
+            (pos, m, (c, -c)) for pos, f in diff.items() for m, c in f.terms.items())
+        self._integer_table = None  # the differentials times D, on Gaussian integers
+        self._d_row_cache = {}  # monomial mask -> D times its d, on Gaussian integers
         self._image_cache = {}  # (source slot, step) -> images
-        self._spaces = {}  # slot -> tuple of monomials
+        self._spaces = {}  # slot -> (tuple of monomials, tuple of their masks)
         self._reports = {}
         self._zero = coframe.zero_form()
         self.validate()
@@ -156,8 +152,7 @@ class StructureModel:
     def _leibniz(self, form, step=None):
         """d of form, the graded Leibniz terms of each monomial summed into one
         term dict, a unit coefficient multiplying nothing; given a bidegree
-        step (dp, dq), only the terms in the source bidegree moved by step,
-        the part of d that raises the bidegree by it."""
+        step (dp, dq), only the terms in the source bidegree moved by step."""
         self._check_form(form)
         cf = self.coframe
         one = cf.table.one()
@@ -165,13 +160,12 @@ class StructureModel:
         for mon, coeff in form.terms.items():
             unit = coeff == one
             target = None if step is None else _shift(cf.monomial_bidegree(mon), step)
-            for sign, m, c in _leibniz_terms(mon, self._d_terms):
+            for m, c in _derivation(_mask(mon), self._form_table):
+                m = tuple(p for p in range(m.bit_length()) if m >> p & 1)
                 if target is not None and cf.monomial_bidegree(m) != target:
                     continue
                 if not unit:
                     c = c * coeff
-                if sign < 0:
-                    c = -c
                 old = terms.get(m)
                 terms[m] = c if old is None else old + c
         return Form(cf, terms)
@@ -197,13 +191,11 @@ class StructureModel:
         """Check d*d = 0 and the bidegree splitting on every generator, and
         d(conj g) = conj(d g) on every declared conjugate pair.
 
-        Returns a diagnostics list on success and raises IntegrabilityError
-        (carrying the offending generators with their residual forms)
-        otherwise.
+        Returns a diagnostics list on success; raises IntegrabilityError,
+        carrying the offending generators and their residual forms, otherwise.
         """
         cf = self.coframe
-        violations = []
-        diagnostics = []
+        violations, diagnostics = [], []
         for gen in cf.generators:
             dg = self._differentials.get(cf.position[gen.name])
             if dg is None:
@@ -232,37 +224,31 @@ class StructureModel:
         if violations:
             names = ", ".join(name for name, _ in violations)
             raise IntegrabilityError(
-                f"structure equations are not integrable at: {names}", violations
-            )
+                f"structure equations are not integrable at: {names}", violations)
         return diagnostics
 
     # -- graded pieces of the algebra ------------------------------------------
 
     def monomials_of_degree(self, k):
         n = len(self.coframe.generators)
-        if k < 0 or k > n:
-            return []
-        return list(combinations(range(n), k))
+        return list(combinations(range(n), k)) if 0 <= k <= n else []
 
     def monomials_of_bidegree(self, p, q):
         cf = self.coframe
-        if p < 0 or q < 0 or p > cf.n_holomorphic or q > cf.n_antiholomorphic:
+        if p < 0 or q < 0:
             return []
-        holo = combinations(range(cf.n_holomorphic), p)
-        anti = list(
-            combinations(range(cf.n_holomorphic, len(cf.generators)), q)
-        )
-        return [h + a for h in holo for a in anti]
+        anti = list(combinations(range(cf.n_holomorphic, len(cf.generators)), q))
+        return [h + a for h in combinations(range(cf.n_holomorphic), p) for a in anti]
 
-    def _space(self, slot):
-        """The monomial basis of a degree k or a bidegree (p, q), as a tuple;
-        memoized."""
-        space = self._spaces.get(slot)
-        if space is None:
+    def _space(self, slot, masks=False):
+        """The monomial basis of a degree k or a bidegree (p, q) as a tuple,
+        or with masks their bitmasks in the same order; memoized."""
+        spaces = self._spaces.get(slot)
+        if spaces is None:
             space = tuple(self.monomials_of_degree(slot) if isinstance(slot, int)
                           else self.monomials_of_bidegree(*slot))
-            self._spaces[slot] = space
-        return space
+            spaces = self._spaces[slot] = (space, tuple(map(_mask, space)))
+        return spaces[1] if masks else spaces[0]
 
     def _vector(self, form, theory, slot, monomials):
         index = {m: i for i, m in enumerate(monomials)}
@@ -277,48 +263,46 @@ class StructureModel:
     def _constant(self, coeff):
         if not coeff.is_constant():
             raise UnspecializedParameters(
-                "specialize the parameters "
-                f"{sorted(coeff.variables_used())} before exact linear algebra"
-            )
+                f"specialize the parameters {sorted(coeff.variables_used())} "
+                "before exact linear algebra")
         return coeff.constant_value()
 
-    def _integer_d(self, monomial):
-        """D times d(monomial) as a Gaussian-integer row {monomial: (re, im)},
-        D the common denominator of the generator differentials; memoized."""
-        row = self._d_row_cache.get(monomial)
+    def _integer_d(self, mask):
+        """D times d of a monomial mask as a Gaussian-integer row {mask: (re,
+        im)}, D the common denominator of the differentials; memoized."""
+        row = self._d_row_cache.get(mask)
         if row is None:
-            if self._d_rows is None:
+            if self._integer_table is None:
                 cleared, _ = _integer_terms({
-                    (pos, mon): self._constant(coeff)
-                    for pos, terms in self._d_terms.items()
-                    for mon, coeff in terms.items()})
-                self._d_rows = {pos: {mon: cleared[pos, mon] for mon in terms}
-                                for pos, terms in self._d_terms.items()}
-            row = _row((m, sign * x, sign * y)
-                       for sign, m, (x, y) in _leibniz_terms(monomial, self._d_rows))
-            self._d_row_cache[monomial] = row
+                    (pos, m): self._constant(c)
+                    for pos, form in self._differentials.items()
+                    for m, c in form.terms.items()})
+                self._integer_table = _leibniz_table(
+                    (*key, (xy, (-xy[0], -xy[1]))) for key, xy in cleared.items())
+            row = self._d_row_cache[mask] = _row(_derivation(mask, self._integer_table))
         return row
 
     def _images(self, slot, step):
         """The image of each monomial of a slot under the operator that adds
         step, times D (D squared for (1, 1)), as Gaussian-integer rows
-        {index: (re, im)} over the slot moved by step; memoized per (slot,
-        step).  Keeping the terms of the integer d that lie in the target slot
-        is the bidegree projection; the (1, 1) rows compose (0, 1) and (1, 0).
-        """
+        {index: (re, im)} over the moved slot; memoized.  The integer d terms
+        whose masks lie in the target slot are the bidegree projection; the
+        (1, 1) rows compose (0, 1) and (1, 0)."""
         key = (slot, step)
         cached = self._image_cache.get(key)
         if cached is None:
             if step == (1, 1):
                 outer = self._images((slot[0], slot[1] + 1), (1, 0))
-                cached = [_row((c, a * x - b * y, a * y + b * x)
+                cached = [_row((c, (a * x - b * y, a * y + b * x))
                                for j, (a, b) in row.items()
                                for c, (x, y) in outer[j].items()) if row else {}
                           for row in self._images(slot, (0, 1))]
             else:
-                index = {m: i for i, m in enumerate(self._space(_shift(slot, step)))}
-                cached = [{index[m]: xy for m, xy in self._integer_d(mon).items()
-                           if m in index} for mon in self._space(slot)]
+                target = self._space(_shift(slot, step), masks=True)
+                index = {m: i for i, m in enumerate(target)}
+                rows = map(self._integer_d, self._space(slot, masks=True))
+                cached = [{index[m]: xy for m, xy in row.items() if m in index}
+                          if row else {} for row in rows]
             self._image_cache[key] = cached
         return cached
 
@@ -339,10 +323,9 @@ class StructureModel:
         reps = linalg.quotient_representatives(
             [self._images(slot, step) for step in OPERATORS[theory][0]],
             self._boundary_vectors(theory, slot))
-        rows = tuple([(s, *[v for c in sorted(row) for v in (space[c], *row[c])])
-                      for s, row in reps])
-        report = CohomologyReport(theory, slot, len(rows), rows, self.coframe)
-        self._reports[key] = report
+        rows = tuple([_report_row(s, row, space) for s, row in reps])
+        report = self._reports[key] = CohomologyReport(
+            theory, slot, len(rows), rows, self.coframe)
         return report
 
     def betti(self, k):
@@ -353,15 +336,12 @@ class StructureModel:
         degree k; equality in every degree characterizes the del-delbar
         property of the model."""
         cf = self.coframe
-        total = 0
-        for p in range(max(0, k - cf.n_antiholomorphic),
-                       min(cf.n_holomorphic, k) + 1):
-            q = k - p
-            total += self.cohomology(BOTT_CHERN, (p, q)).dimension
-            total += self.cohomology(AEPPLI, (p, q)).dimension
-        return DdbarCheck(
-            degree=k, betti_doubled=2 * self.betti(k), bott_chern_aeppli=total
-        )
+        total = sum(self.cohomology(theory, (p, k - p)).dimension
+                    for p in range(max(0, k - cf.n_antiholomorphic),
+                                   min(cf.n_holomorphic, k) + 1)
+                    for theory in (BOTT_CHERN, AEPPLI))
+        return DdbarCheck(degree=k, betti_doubled=2 * self.betti(k),
+                          bott_chern_aeppli=total)
 
     def class_of(self, form, theory, slot):
         """Coordinates of a cocycle in the computed basis of its cohomology
@@ -382,10 +362,8 @@ class StructureModel:
         return tuple(solution[: report.dimension])
 
     def _boundary_vectors(self, theory, slot):
-        vectors = []
-        for step in OPERATORS[theory][1]:
-            vectors += self._images(_shift(slot, step, -1), step)
-        return vectors
+        return [v for step in OPERATORS[theory][1]
+                for v in self._images(_shift(slot, step, -1), step)]
 
     def lambda_map(self, omega, theory, source_slot):
         """The wedge-with-omega map between cohomology slots.
@@ -395,53 +373,75 @@ class StructureModel:
         """
         self._check_form(omega)
         theory, source_slot = _normalize_slot(theory, source_slot)
-        if isinstance(source_slot, int):
-            step = omega.total_degree()
-        else:
-            step = omega.bidegree()
+        step = (omega.total_degree() if isinstance(source_slot, int)
+                else omega.bidegree())
         if step is None:
-            raise ValueError("omega is zero" if not omega
-                             else "omega must be homogeneous")
+            raise ValueError("omega must be homogeneous" if omega else "omega is zero")
         closed = "delbar" if theory == DOLBEAULT else "d"
         if getattr(self, closed)(omega):
             raise NotClosed(f"omega is not {closed}-closed")
         target_slot = _shift(source_slot, step)
         source = self.cohomology(theory, source_slot)
         target = self.cohomology(theory, target_slot)
-        columns = [
-            self.class_of(omega.wedge(rep), theory, target_slot)
-            for rep in source.basis
-        ]
-        matrix = tuple(
-            tuple(columns[c][r] for c in range(source.dimension))
-            for r in range(target.dimension)
-        )
+        columns = [self.class_of(omega.wedge(rep), theory, target_slot)
+                   for rep in source.basis]
+        matrix = tuple(tuple(columns[c][r] for c in range(source.dimension))
+                       for r in range(target.dimension))
         return LambdaMap(source=source, target=target, matrix=matrix)
 
 
-def _leibniz_terms(monomial, differentials):
-    """(sign, monomial, coefficient) for each term of d(monomial) by the graded
-    Leibniz rule, the differentials given as {position: {monomial: coeff}}."""
-    for i, pos in enumerate(monomial):
-        dg = differentials.get(pos)
-        if dg is None:
-            continue
-        # d(x_i) has degree two, so it commutes past x_0 ... x_(i-1)
-        rest = monomial[:i] + monomial[i + 1:]
-        for mon, coeff in dg.items():
-            sign, merged = merge_monomials(mon, rest)
-            if sign:
-                yield (-sign if i % 2 else sign), merged, coeff
+def _leibniz_table(terms):
+    """The (position i, monomial, (coefficient, its negative)) terms of the
+    differentials as ((bit of i, terms), ...) in position order, each term
+    (mask, sign mask, signed).  The sign flips popcount(rest & low(j)) times
+    for j = i and each term generator j, low(j) = 2^j - 1: in parity, that
+    is popcount(rest & sign mask), sign mask = low(i) ^ every low(j)."""
+    table = {}
+    for pos, mon, signed in terms:
+        sign_mask = (1 << pos) - 1
+        for j in mon:
+            sign_mask ^= (1 << j) - 1
+        table.setdefault(pos, []).append((_mask(mon), sign_mask, signed))
+    return tuple((1 << pos, tuple(table[pos])) for pos in sorted(table))
+
+
+def _derivation(mask, table):
+    """(mask, coefficient) of each term of d(monomial) by the graded Leibniz
+    rule, on bitmasks; a term that meets the rest of the monomial is 0."""
+    for bit, terms in table:
+        if mask & bit:
+            rest = mask ^ bit
+            for term, sign_mask, signed in terms:
+                if not rest & term:
+                    yield rest | term, signed[(rest & sign_mask).bit_count() & 1]
+
+
+def _mask(monomial):
+    """The bitmask of a monomial, bit p for the generator at position p."""
+    mask = 0
+    for p in monomial:
+        mask |= 1 << p
+    return mask
 
 
 def _row(entries):
-    """The Gaussian-integer row {key: (re, im)} of (key, re, im) entries,
+    """The Gaussian-integer row {key: (re, im)} of (key, (re, im)) entries,
     like keys summed and zeros dropped."""
     out = {}
-    for c, x, y in entries:
-        re, im = out.get(c, (0, 0))
-        out[c] = (re + x, im + y)
-    return {c: xy for c, xy in out.items() if xy != (0, 0)}
+    for c, xy in entries:
+        old = out.get(c)
+        out[c] = xy if old is None else (old[0] + xy[0], old[1] + xy[1])
+    if (0, 0) in out.values():
+        return {c: xy for c, xy in out.items() if xy != (0, 0)}
+    return out
+
+
+def _report_row(s, row, space):
+    """(s, monomial, re, im, ...) of a row in monomial order; no sort for a unit."""
+    if len(row) == 1:
+        [(c, (x, y))] = row.items()
+        return (s, space[c], x, y)
+    return (s, *[v for c in sorted(row) for v in (space[c], *row[c])])
 
 
 def _shift(slot, step, sign=1):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd, lcm
 
+from formbench.exterior import merge_monomials
 from formbench.linalg import _primitive, rref
 from formbench.scalars import ONE, ZERO, GaussianRational, PolyScalar
 
@@ -273,6 +274,52 @@ def exact_rows(reps):
     """The text of (s, row) representatives with each row's entries in key
     order: equal texts mean the same integers, int for int."""
     return repr([(s, sorted(row.items())) for s, row in reps])
+
+
+# -- the tuple Leibniz rule: reference route of the bitmask loop in formbench.dga ---
+
+
+def leibniz_terms(monomial, differentials):
+    """(sign, monomial, coefficient) for each term of d(monomial) by the graded
+    Leibniz rule on position tuples, the differentials given as
+    {position: {monomial: coeff}}: a term merged into the rest of the
+    monomial with ``merge_monomials``, sign 0 where they share a generator."""
+    for i, pos in enumerate(monomial):
+        dg = differentials.get(pos)
+        if dg is None:
+            continue
+        # d(x_i) has degree two, so it commutes past x_0 ... x_(i-1)
+        rest = monomial[:i] + monomial[i + 1:]
+        for mon, coeff in dg.items():
+            sign, merged = merge_monomials(mon, rest)
+            if sign:
+                yield (-sign if i % 2 else sign), merged, coeff
+
+
+def summed_row(entries):
+    """The Gaussian-integer row {key: (re, im)} of (key, re, im) entries, like
+    keys summed in first-seen order and zeros dropped."""
+    out = {}
+    for c, x, y in entries:
+        re, im = out.get(c, (0, 0))
+        out[c] = (re + x, im + y)
+    return {c: xy for c, xy in out.items() if xy != (0, 0)}
+
+
+def reference_integer_d(model, monomial):
+    """D times d(monomial) as a Gaussian-integer row {monomial: (re, im)} by the
+    tuple route, D the lcm of the denominators of every generator
+    differential's coefficients."""
+    cf = model.coframe
+    forms = {pos: model.differential_of(g.name) for pos, g in enumerate(cf.generators)}
+    values = {(pos, mon): c.constant_value()
+              for pos, form in forms.items() for mon, c in form.terms.items()}
+    den = lcm(1, *(part.denominator for v in values.values() for part in (v.re, v.im)))
+    cleared = {}
+    for (pos, mon), v in values.items():
+        cleared.setdefault(pos, {})[mon] = (int(v.re * den), int(v.im * den))
+    return summed_row((m, sign * x, sign * y)
+                      for sign, m, (x, y) in leibniz_terms(monomial, cleared))
 
 
 # -- dense oracles: rank, determinants and antisymmetric matrices ------------------

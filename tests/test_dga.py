@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib.util
 import random
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from formbench import linalg
+from formbench import dga, exterior, linalg
 from formbench.dga import (
     AEPPLI,
     BOTT_CHERN,
@@ -20,6 +21,9 @@ from formbench.dga import (
     OPERATORS,
     THEORIES,
     StructureModel,
+    _derivation,
+    _leibniz_table,
+    _mask,
     _shift,
 )
 from formbench.errors import (
@@ -34,8 +38,10 @@ from formbench.scalars import ZERO, GaussianRational, PolyScalar, VariableTable
 from support import (
     exact_rows,
     gaussian,
+    leibniz_terms,
     nonzero_gaussian,
     random_form,
+    reference_integer_d,
     reference_nullspace,
     reference_quotient_representatives,
     scan_quotient_representatives,
@@ -736,11 +742,24 @@ def test_full_table_makes_no_operator_wedge_or_polynomial_product(monkeypatch):
     monkeypatch.setattr(Form, "__init__", counted("Form", Form.__init__))
     monkeypatch.setattr(VariableTable, "constant",
                         counted("constant", VariableTable.constant))
+    monkeypatch.setattr(exterior, "merge_monomials",
+                        counted("merge_monomials", exterior.merge_monomials))
+    builds = Counter()
+
+    def derivation(mask, table):
+        assert table is model._integer_table
+        builds[mask] += 1
+        return _derivation(mask, table)
+
+    monkeypatch.setattr(dga, "_derivation", derivation)
     tables = {theory: [model.cohomology(theory, slot).dimension
                        for slot, _ in _slots_and_spaces(model, theory)]
               for theory in THEORIES}
     assert sum(map(sum, tables.values())) > 0
     assert calls == Counter()
+    # the integer d of each monomial is built once, whatever images read it
+    assert len(builds) == 2 ** len(model.coframe.generators) == 256
+    assert set(builds.values()) == {1}
 
 
 def test_basis_forms_are_built_once_on_first_read(monkeypatch):
@@ -948,6 +967,65 @@ def chain_betti_numbers(n):
         assert sum(h[s] for s in degree_k) >= b[k]  # Frolicher
         assert sum(bc[s] + a[s] for s in degree_k) >= 2 * b[k]
     return b
+
+
+def test_integer_d_matches_the_tuple_route_on_every_monomial():
+    # reference route: D times d of each monomial by the tuple Leibniz rule
+    # (merge_monomials on position tuples), entry for entry and in order
+    models = [torus(2), kodaira(), nakamura(Fraction(1, 2)).model,
+              mixed_denominator_model(), chain_nilmanifold(5), *pool_models(12)]
+    checked = 0
+    for model in models:
+        n = len(model.coframe.generators)
+        for k in range(n + 1):
+            for mon in combinations(range(n), k):
+                expected = [(_mask(m), xy)
+                            for m, xy in reference_integer_d(model, mon).items()]
+                assert list(model._integer_d(_mask(mon)).items()) == expected, (
+                    model, mon)
+                checked += 1
+    assert checked == 2 * 16 + 2 * 256 + 1024 + 12 * 256
+
+
+def test_bitmask_signs_match_merge_monomials():
+    # the sign of each Leibniz term read off one bit count against the tuple
+    # route, on random differentials over coframes of 2 x 1 to 2 x 9
+    # generators; a term that shares a generator with the rest of the
+    # monomial (merge sign 0) must be dropped
+    rng = random.Random(73)
+    overlapping = kept = 0
+    for _ in range(300):
+        n = 2 * rng.randint(1, 9)
+        differentials = {}
+        for pos in rng.sample(range(n), rng.randint(1, n)):
+            degrees = [rng.choice((1, 2, 2, 2, 3)) for _ in range(rng.randint(1, 4))]
+            differentials[pos] = {
+                tuple(sorted(rng.sample(range(n), min(k, n)))): rng.randint(1, 9)
+                for k in degrees}
+        table = _leibniz_table((pos, mon, (c, -c)) for pos, terms in differentials.items()
+                               for mon, c in terms.items())
+        for _ in range(20):
+            mon = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+            expected = [(_mask(m), sign * c)
+                        for sign, m, c in leibniz_terms(mon, differentials)]
+            assert list(_derivation(_mask(mon), table)) == expected, (differentials, mon)
+            kept += len(expected)
+            overlapping += sum(1 for i in mon for term in differentials.get(i, ())
+                               if set(term) & set(mon) - {i})
+    assert kept > 1000 and overlapping > 1000
+
+
+def test_report_rows_are_pinned():
+    # one sha256 over the report rows of every slot of the four theories of
+    # chain_nilmanifold(6) and nakamura(1/2): a change to how the images, the
+    # elimination or the rows are built must keep every integer
+    lines = [repr((theory, slot, model.cohomology(theory, slot).rows))
+             for model in (chain_nilmanifold(6), nakamura(Fraction(1, 2)).model)
+             for theory in THEORIES
+             for slot, _ in _slots_and_spaces(model, theory)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "52baf6c5bdd486e1a071e37d2b3e045262e34b9c6b0328ac28fcc1b6a6890908")
 
 
 def test_chain_nilmanifold_dimension_five():
