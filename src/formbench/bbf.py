@@ -14,9 +14,12 @@ one shared denominator, so its pipeline builds no fraction.
 
 The bilinear form and the Gram oracle read every pairing off one kernel per
 call: at most three wedges of sigma powers give each degree-2 monomial's
-pairing row, and by bilinearity a form's pairing record is the combination
-of its monomials' rows, so no argument is wedged or integrated.  q_sigma
-keeps the wedge-then-integrate route as the independent check.
+pairing row, one sign per wedge term, and by bilinearity a form's pairing
+record is the combination of its monomials' rows, so no argument is wedged
+or integrated.  q_sigma keeps the wedge-then-integrate route as the
+independent check.  The closed-form Gram matrix of a torus is built by
+bidegree blocks, (2,0) x (0,2) and (1,1) x (1,1); every other entry
+vanishes by type and is never evaluated.
 """
 
 from __future__ import annotations
@@ -185,32 +188,33 @@ def _pairing_kernel(space):
     integrated.
 
     Returns (dual_rows, end_rows).  dual_rows[m] maps a degree-2 monomial k
-    to (n/2) volume I[k m s^(n-1) sb^(n-1)]: for each term w of
-    W0 = s^(n-1) sb^(n-1) and each m disjoint from w, k is the complement
-    of m and w, and the value is the W0 coefficient at w, pre-scaled by
-    (n/2) volume V and signed.  end_rows[m] holds the nonzero values among
-    "holo" = (1-n)/2 I[m s^(n-1) sb^n] and "anti" = I[m s^n sb^(n-1)]; it
-    is empty when n = 1, where the (1-n) term vanishes."""
+    to (n/2) volume I[k m s^(n-1) sb^(n-1)]: each term w of
+    W0 = s^(n-1) sb^(n-1) leaves four positions a < b < c < d, and its
+    value, the W0 coefficient pre-scaled by (n/2) volume V, goes to both
+    orders of the splits ab|cd, ac|bd and ad|bc with the signs +, -, + of
+    k m against abcd, times the one sign of I[abcd w].  end_rows[m] holds
+    the nonzero values among "holo" = (1-n)/2 I[m s^(n-1) sb^n] and
+    "anti" = I[m s^n sb^(n-1)]; it is empty when n = 1, where the (1-n)
+    term vanishes."""
     n = space.n
     s, sb = space.sigma_pow, space.sigma_bar_pow
     cf = space.model.coframe
     v = cf.table.variable(cf.volume_variable)
     top = cf.volume_monomial
 
-    def integral_sign(mon, complement):
-        # the sign of the volume monomial in complement ^ mon
-        return merge_monomials(complement, mon)[0] * cf.volume_sign
+    def signed(value, mon, complement):
+        # value times the sign of the volume monomial in complement ^ mon
+        sign = merge_monomials(complement, mon)[0]
+        return value if sign == cf.volume_sign else -value
 
     dual_rows = {}
     scale = space.volume * v * Fraction(n, 2)
     for w, coeff in s[n - 1].wedge(sb[n - 1]).terms.items():
-        value = coeff * scale
-        rest = tuple(p for p in top if p not in w)
-        for m in combinations(rest, 2):
-            sign, mw = merge_monomials(m, w)
-            k = tuple(p for p in rest if p not in m)
-            row = dual_rows.setdefault(m, {})
-            row[k] = value if sign * integral_sign(mw, k) > 0 else -value
+        a, b, c, d = rest = tuple(p for p in top if p not in w)
+        value = signed(coeff * scale, w, rest)
+        for m, k, split in (((a, b), (c, d), value), ((a, c), (b, d), -value),
+                            ((a, d), (b, c), value)):
+            dual_rows.setdefault(m, {})[k] = dual_rows.setdefault(k, {})[m] = split
     end_rows = {}
     if n != 1:  # the (1-n) term vanishes on a surface
         for name, form, scale in (
@@ -219,9 +223,7 @@ def _pairing_kernel(space):
         ):
             for mon, coeff in form.terms.items():
                 k = tuple(p for p in top if p not in mon)
-                value = coeff * scale
-                end_rows.setdefault(k, {})[name] = (
-                    value if integral_sign(mon, k) > 0 else -value)
+                end_rows.setdefault(k, {})[name] = signed(coeff * scale, mon, k)
     return dual_rows, end_rows
 
 
@@ -336,7 +338,9 @@ def gram_matrix(space, basis, mode="oracle"):
     and no integration) and assembles only the entries some pairing term
     reaches, with V formal, over the unit denominator.  closed_form mode
     emits the coefficient formulas over the denominator 2*mu*mub, and is
-    only available for torus models over the standard monomial basis; each
+    only available for torus models over basis forms that are standard
+    monomials.  It evaluates only the (2,0) x (0,2) pairs and the (1,1)
+    pairs that share no index, one formula for both (i, j) and (j, i); each
     distinct nu*nu_bar product, and its multiple by n, is made once per
     call.  After normalize_gram, both agree entrywise.
     """
@@ -355,7 +359,10 @@ def gram_matrix(space, basis, mode="oracle"):
     model = space.model
     if any(model.differential_of(g.name) for g in model.coframe.generators):
         raise UnsupportedBasis("closed form entries require a torus model")
-    kinds = [_classify_standard(space, form) for form in basis]
+    blocks = {(2, 0): [], (0, 2): [], (1, 1): []}
+    for i, form in enumerate(basis):
+        bidegree, pair = _classify_standard(space, form)
+        blocks[bidegree].append((i, pair))
     nu_bar = {pair: value.conjugate() for pair, value in space.nu.items()}
 
     # neither memo refers to itself, so both are freed on return
@@ -369,14 +376,26 @@ def gram_matrix(space, basis, mode="oracle"):
         value = product(left, right)
         return value * space.n if space.n != 1 else value
 
-    numerators = tuple(
-        tuple(_closed_form_numerator(product, scaled, a, b) or zero for b in kinds)
-        for a in kinds
-    )
+    rows = [[zero] * len(basis) for _ in basis]
+    for i, (alpha, beta) in blocks[(2, 0)]:
+        for j, (gamma, delta) in blocks[(0, 2)]:
+            value = product((alpha, beta), (gamma, delta))
+            rows[i][j] = rows[j][i] = (
+                -value if (alpha + beta + gamma + delta) % 2 else value)
+    for (i, (alpha, beta)), (j, (gamma, delta)) in combinations(blocks[(1, 1)], 2):
+        if alpha == gamma or beta == delta:
+            continue
+        e = alpha + beta + gamma + delta + ((alpha < gamma) == (beta < delta))
+        value = scaled((min(alpha, gamma), max(alpha, gamma)),
+                       (min(beta, delta), max(beta, delta)))
+        rows[i][j] = rows[j][i] = -value if e % 2 else value
+    numerators = tuple(map(tuple, rows))
     return GramMatrix(basis, numerators, space.mu * space.mu.conjugate() * 2)
 
 
 def _classify_standard(space, form):
+    """The bidegree of a standard basis monomial and its 1-based index pair
+    within its block: holomorphic, antiholomorphic, or one of each."""
     cf = space.model.coframe
     if form.coframe is not cf:
         raise ModelMismatch("basis form belongs to a different model")
@@ -387,38 +406,8 @@ def _classify_standard(space, form):
         raise UnsupportedBasis(f"{form} is not a standard basis monomial")
     h = cf.n_holomorphic
     p, q = cf.monomial_bidegree(mon)
-    if (p, q) == (2, 0):
-        return ("20", (mon[0] + 1, mon[1] + 1))
-    if (p, q) == (0, 2):
-        return ("02", (mon[0] - h + 1, mon[1] - h + 1))
-    return ("11", (mon[0] + 1, mon[1] - h + 1))
-
-
-def _closed_form_numerator(product, scaled, a, b):
-    """The numerator over 2*mu*mub of one closed-form Gram entry, None
-    where the entry vanishes by type; product(left, right) is
-    nu[left] * nu_bar[right] and scaled(left, right) is n times it."""
-    kind_a, idx_a = a
-    kind_b, idx_b = b
-    if {kind_a, kind_b} == {"20", "02"}:
-        if kind_a == "02":
-            idx_a, idx_b = idx_b, idx_a
-        alpha, beta = idx_a
-        gamma, delta = idx_b
-        value = product((alpha, beta), (gamma, delta))
-        return -value if (alpha + beta + gamma + delta) % 2 else value
-    if kind_a == "11" and kind_b == "11":
-        alpha, beta = idx_a
-        gamma, delta = idx_b
-        if alpha == gamma or beta == delta:
-            return None
-        e = alpha + beta + gamma + delta
-        if (alpha < gamma) == (beta < delta):
-            e += 1
-        value = scaled((min(alpha, gamma), max(alpha, gamma)),
-                       (min(beta, delta), max(beta, delta)))
-        return -value if e % 2 else value
-    return None
+    # antiholomorphic positions count from h
+    return (p, q), (mon[0] + 1 - h * (p == 0), mon[1] + 1 - h * (p != 2))
 
 
 def gram_discrepancies(reference, candidate):

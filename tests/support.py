@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded random exact values and forms."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 from formbench.exterior import merge_monomials
@@ -320,6 +321,48 @@ def reference_integer_d(model, monomial):
         cleared.setdefault(pos, {})[mon] = (int(v.re * den), int(v.im * den))
     return summed_row((m, sign * x, sign * y)
                       for sign, m, (x, y) in leibniz_terms(monomial, cleared))
+
+
+# -- the per-pair signs: reference route of the pairing kernel in formbench.bbf ---
+
+
+def reference_pairing_kernel(space):
+    """The (dual_rows, end_rows) of ``bbf._pairing_kernel`` with two
+    ``merge_monomials`` signs per (W0 term w, monomial m) pair: m merged
+    into w, then the complement k of m and w merged into the product, and
+    one sign per end-row term."""
+    n = space.n
+    s, sb = space.sigma_pow, space.sigma_bar_pow
+    cf = space.model.coframe
+    v = cf.table.variable(cf.volume_variable)
+    top = cf.volume_monomial
+
+    def integral_sign(mon, complement):
+        # the sign of the volume monomial in complement ^ mon
+        return merge_monomials(complement, mon)[0] * cf.volume_sign
+
+    dual_rows = {}
+    scale = space.volume * v * Fraction(n, 2)
+    for w, coeff in s[n - 1].wedge(sb[n - 1]).terms.items():
+        value = coeff * scale
+        rest = tuple(p for p in top if p not in w)
+        for m in combinations(rest, 2):
+            sign, mw = merge_monomials(m, w)
+            k = tuple(p for p in rest if p not in m)
+            row = dual_rows.setdefault(m, {})
+            row[k] = value if sign * integral_sign(mw, k) > 0 else -value
+    end_rows = {}
+    if n != 1:  # the (1-n) term vanishes on a surface
+        for name, form, scale in (
+            ("holo", s[n - 1].wedge(sb[n]), v * Fraction(1 - n, 2)),
+            ("anti", s[n].wedge(sb[n - 1]), v),
+        ):
+            for mon, coeff in form.terms.items():
+                k = tuple(p for p in top if p not in mon)
+                value = coeff * scale
+                end_rows.setdefault(k, {})[name] = (
+                    value if integral_sign(mon, k) > 0 else -value)
+    return dual_rows, end_rows
 
 
 # -- dense oracles: rank, determinants and antisymmetric matrices ------------------

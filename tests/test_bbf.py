@@ -55,6 +55,7 @@ from support import (
     gaussian,
     nonzero_gaussian,
     random_closed_two_form,
+    reference_pairing_kernel,
 )
 
 I = GaussianRational(0, 1)
@@ -402,13 +403,17 @@ def kodaira_oracle_gram():
     return space, gram_matrix(space, model.cohomology("de_rham", 2).basis)
 
 
-def formal_pair_oracle_gram(seed=131, formal=(2, 4)):
-    # a 4-torus sigma with one coefficient left formal, as in the gram benchmark
-    model = torus(4, parameters=[("l", "lb")])
-    values = random_lambda(random.Random(seed), 4)
+def formal_pair_space(seed=131, formal=(2, 4), dim=4):
+    # a torus sigma with one coefficient left formal, as in the gram benchmark
+    model = torus(dim, parameters=[("l", "lb")])
+    values = random_lambda(random.Random(seed), dim)
     values[formal] = model.table.variable("l")
-    space = make_symplectic(model, sigma_from_lambda(model, values))
-    return space, gram_matrix(space, standard_degree_two_basis(model))
+    return make_symplectic(model, sigma_from_lambda(model, values))
+
+
+def formal_pair_oracle_gram(seed=131, formal=(2, 4), dim=4):
+    space = formal_pair_space(seed, formal, dim)
+    return space, gram_matrix(space, standard_degree_two_basis(space.model))
 
 
 def mixed_degree_gram():
@@ -850,6 +855,34 @@ def test_gram_oracle_is_polarization_of_q(case):
             assert gram.entries[j][i] * 2 == polar, (j, i)
 
 
+@pytest.mark.parametrize("case", [
+    "torus2", "torus4", "torus6", "torus8", "torus4_swapped_volume", "kodaira"])
+def test_pairing_kernel_matches_the_per_pair_route(case):
+    # the three splits of each W0 term's four free positions, signed once
+    # per term, give the rows of two signs per (W0 term, monomial) pair
+    if case == "kodaira":
+        model = kodaira()
+        space = make_symplectic(model, kodaira_sigma(model))
+    elif case == "torus4_swapped_volume":
+        space, _ = _multi_term_torus4_space(True)
+    else:
+        space = formal_pair_space(formal=(1, 2), dim=int(case[5:]))
+    dual_rows, end_rows = bbf._pairing_kernel(space)
+    assert dual_rows and (end_rows or space.n == 1)
+    assert (dual_rows, end_rows) == reference_pairing_kernel(space)
+
+
+def test_pairing_kernel_signs_once_per_w0_term(monkeypatch):
+    space = formal_pair_space()
+    s, sb = space.sigma_pow, space.sigma_bar_pow
+    terms = [len(form.terms) for form in (
+        s[1].wedge(sb[1]), s[1].wedge(sb[2]), s[2].wedge(sb[1]))]
+    merges = _counting(monkeypatch, bbf, ["merge_monomials"])
+    gram_matrix(space, standard_degree_two_basis(space.model), mode="oracle")
+    # one sign per W0 term and one per end-row term
+    assert merges == [sum(terms)] == [36 + 6 + 6]
+
+
 def test_gram_oracle_wedges_a_fixed_number_of_times(monkeypatch):
     model = torus(4)
     _, space = random_symplectic(random.Random(137), model)
@@ -1043,3 +1076,20 @@ def test_gram_renders_are_pinned():
     digest = hashlib.sha256(json.dumps(renders).encode()).hexdigest()
     assert digest == (
         "0d993a9681fd24edbfac56dd73733ee7538e627006134fae7cf5798f203068b4")
+
+
+def test_closed_form_matches_the_oracle_at_n_3_and_4():
+    # the standard bases of the 6- and 8-torus (66 and 120 forms) with one
+    # formal pair: the closed form agrees with the normalized oracle beyond
+    # n = 2, and every rendered entry of the three matrices is pinned
+    renders = []
+    for dim, size in ((6, 66), (8, 120)):
+        space, oracle = formal_pair_oracle_gram(dim=dim)
+        assert (space.n, oracle.size) == (dim // 2, size)
+        normalized = normalize_gram(space, oracle)
+        closed = gram_matrix(space, oracle.basis, mode="closed_form")
+        assert gram_discrepancies(normalized, closed) == []
+        renders.append([gram.render() for gram in (oracle, normalized, closed)])
+    digest = hashlib.sha256(json.dumps(renders).encode()).hexdigest()
+    assert digest == (
+        "e86408fcc359dec3576775c52c9e72706a4dafa0e31e955cd0f50243da5ab4ff")
