@@ -327,7 +327,12 @@ class GramMatrix:
                    for i, j in combinations(range(self.size), 2))
 
     def render(self):
-        return [[str(e) for e in row] for row in self.entries]
+        """Every entry as text, once for equal numerators at (i, j) and (j, i)."""
+        rows, out = self.numerators, []
+        for i, row in enumerate(self.entries):
+            out.append([out[j][i] if j < i and rows[j][i] == rows[i][j] else str(e)
+                        for j, e in enumerate(row)])
+        return out
 
 
 def gram_matrix(space, basis, mode="oracle"):

@@ -7,12 +7,11 @@ operators on forms and the Gaussian-integer rows (cleared over one common
 denominator) on which De Rham, Dolbeault, Bott-Chern and Aeppli cohomology is
 computed by exact elimination, with no tolerance anywhere.
 
-Models are immutable after validation.  Reports, operator images, each
-monomial's integer d and each slot's monomials (a tuple) and their masks are
-memoized per model; each memo entry is written once under the GIL and
-recomputation is idempotent, so concurrent readers are safe.  A report keeps
-its representatives as Gaussian-integer rows and builds its basis forms on
-the first read of ``basis``, memoized the same way.
+A dimension is dim(slot) - rank(cocycle operators) - rank(boundaries), so the
+de Rham and Dolbeault Euler characteristics vanish by construction; rank d on
+degree k serves b_k and b_(k+1).  Validated models are immutable and memoize
+reports, integer ranks, operator images, integer d rows and slot monomials;
+entries are written once under the GIL and idempotent: concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import linalg
 from .errors import (IntegrabilityError, ModelMismatch, NotClosed, UnknownVariable,
@@ -46,23 +45,47 @@ OPERATORS = {  # theory -> (cocycle operators, boundary operators)
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CohomologyReport:
     """Dimension and representative basis of one cohomology group.
 
     ``slot`` is a degree k for de Rham and a bidegree pair (p, q) otherwise.
-    The echelon-form representatives are kept as Gaussian-integer rows: each
-    ``(s, row)`` pair of ``linalg.quotient_representatives`` as one flat tuple
-    ``(s, monomial, re, im, monomial, re, im, ...)`` in monomial order.
-    ``basis`` builds their forms, each row divided by its s, on the first
-    read and memoizes them.  Reports compare by every field but the coframe.
+    The dimension comes from ranks.  The first read of ``rows`` runs
+    ``linalg.quotient_representatives`` on ``_inputs`` (monomials, cocycle
+    images, boundaries), drops them, gives each ``(s, row)`` as a tuple
+    ``(s, monomial, re, im, ...)`` and raises RuntimeError if their count is
+    not the dimension; ``basis`` divides each by s into a form.  Both memoize.
     """
 
     theory: str
     slot: object
     dimension: int
-    rows: tuple
-    coframe: object = field(compare=False, repr=False)
+    coframe: object = field(repr=False)
+    _inputs: tuple = field(repr=False)
+
+    @cached_property
+    def rows(self):
+        inputs = self.__dict__.get("_inputs")
+        if inputs is None:  # a racing read built the rows, then dropped these
+            return self.__dict__["rows"]
+        space, operators, boundaries = inputs
+        reps = linalg.quotient_representatives(operators, list(chain(*boundaries)))
+        rows = tuple([_report_row(s, row, space) for s, row in reps])
+        if len(rows) != self.dimension:
+            raise RuntimeError(f"{self.theory} slot {self.slot}: {len(rows)} "
+                               f"representatives but dimension {self.dimension}")
+        self.__dict__["rows"] = rows
+        self.__dict__.pop("_inputs", None)  # not None: a smaller instance dict
+        return rows
+
+    def __eq__(self, other):  # by all but the coframe
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):
+        return self.theory, self.slot, self.dimension, self.rows
 
     @cached_property
     def basis(self):
@@ -100,10 +123,7 @@ class LambdaMap:
     matrix: tuple
 
     def rank(self):
-        # the rows are the image columns of the transpose, of the same rank
-        rows = [_integer_terms({c: x for c, x in enumerate(row) if x})[0]
-                for row in self.matrix]
-        return len(rows) - len(linalg.nullspace([rows]))
+        return linalg.rank([_integer_terms(dict(enumerate(r)))[0] for r in self.matrix])
 
     def is_zero(self):
         return all(not x for row in self.matrix for x in row)
@@ -128,6 +148,7 @@ class StructureModel:
         self._integer_table = None  # the differentials times D, on Gaussian integers
         self._d_row_cache = {}  # monomial mask -> D times its d, on Gaussian integers
         self._image_cache = {}  # (source slot, step) -> images
+        self._ranks = {}  # ((source slot, step), ...) -> rank of their images
         self._spaces = {}  # slot -> (tuple of monomials, tuple of their masks)
         self._reports = {}
         self._zero = coframe.zero_form()
@@ -309,7 +330,7 @@ class StructureModel:
     # -- cohomology --------------------------------------------------------------
 
     def cohomology(self, theory, slot):
-        """Exact kernel/image computation for one of the four theories.
+        """The report of one of the four theories, its dimension from ranks.
 
         de Rham takes an integer degree; the bigraded theories take a
         bidegree pair (p, q).
@@ -319,14 +340,24 @@ class StructureModel:
         cached = self._reports.get(key)
         if cached is not None:
             return cached
+        cocycle, boundary = OPERATORS[theory]
+        cocycle = tuple((slot, step) for step in cocycle)
+        boundary = tuple((_shift(slot, step, -1), step) for step in boundary)
         space = self._space(slot)
-        reps = linalg.quotient_representatives(
-            [self._images(slot, step) for step in OPERATORS[theory][0]],
-            self._boundary_vectors(theory, slot))
-        rows = tuple([_report_row(s, row, space) for s, row in reps])
-        report = self._reports[key] = CohomologyReport(
-            theory, slot, len(rows), rows, self.coframe)
-        return report
+        dimension = len(space) - self._rank(cocycle, joint=True) - self._rank(boundary)
+        images = [[self._images(*k) for k in keys] for keys in (cocycle, boundary)]
+        return self._reports.setdefault(key, CohomologyReport(
+            theory, slot, dimension, self.coframe, (space, *images)))
+
+    def _rank(self, keys, joint=False):
+        """Rank of the images under keys, or of d for joint (del, delbar); memoized."""
+        rank = self._ranks.get(keys)
+        if rank is None:
+            vectors = (map(self._integer_d, self._space(keys[0][0], masks=True))
+                       if joint and len(keys) > 1 else
+                       [v for k in keys for v in self._images(*k)])
+            rank = self._ranks[keys] = linalg.rank(vectors)
+        return rank
 
     def betti(self, k):
         return self.cohomology(DE_RHAM, k).dimension

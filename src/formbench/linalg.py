@@ -1,9 +1,9 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Dense matrices are lists of row lists of GaussianRational; ``rref`` and
-``solve`` work on them.  The cohomology tables use
+``solve`` work on them.  ``rank``, the size of the echelon of some rows, and
 ``quotient_representatives``, which takes each operator as its image columns
-and returns the kernel modulo the boundaries from one echelon, all sparse
+and returns the kernel modulo the boundaries from one echelon, work on sparse
 Gaussian-integer rows ``{column: (re, im)}`` holding only the nonzero
 entries; ``nullspace`` is its case without boundaries.  The echelon is a dict
 {pivot: (s, row)}, each row pivoting on its least key.  A vector is reduced
@@ -99,6 +99,8 @@ def _primitive(v):
     divided by the integer gcd of all parts, so the pivot entry is the
     positive integer s."""
     pivot = min(v)
+    if len(v) == 1:
+        return pivot, 1, {pivot: (1, 0)}
     a, b = v[pivot]
     if b or a < 0:
         v = {c: (x * a + y * b, y * a - x * b) for c, (x, y) in v.items()}
@@ -109,6 +111,24 @@ def _primitive(v):
             v = {c: (x // g, y // g) for c, (x, y) in v.items()}
             s //= g
     return pivot, s, v
+
+
+def _insert(vec, echelon):
+    """The pivot of vec's remainder, now in the echelon; -1 if it is 0."""
+    v = _eliminate(vec, echelon)
+    if not v:
+        return -1
+    pivot, s, row = _primitive(v)
+    echelon[pivot] = (s, row)
+    return pivot
+
+
+def rank(vectors):
+    """The dimension of the span of Gaussian-integer rows: their echelon size."""
+    echelon = {}
+    for v in filter(None, vectors):
+        _insert(v, echelon)
+    return len(echelon)
 
 
 def nullspace(operators):
@@ -150,19 +170,8 @@ def quotient_representatives(operators, boundaries):
     """
     width = len(operators)
     echelon = {}  # pivot key -> (s, row)
-
-    def insert(vec):
-        """The pivot of vec's remainder, now in the echelon; -1 if it is 0."""
-        v = _eliminate(vec, echelon)
-        if not v:
-            return -1
-        pivot, s, row = _primitive(v)
-        echelon[pivot] = (s, row)
-        return pivot
-
-    for b in boundaries:
-        if b:
-            insert(b)
+    for b in filter(None, boundaries):
+        _insert(b, echelon)
     reps = []
     for i, images in enumerate(zip(*operators)):
         if not any(images) and i not in echelon:
@@ -173,7 +182,7 @@ def quotient_representatives(operators, boundaries):
         vec = {~(r * width + j): xy
                for j, image in enumerate(images) for r, xy in image.items()}
         vec[i] = (1, 0)
-        pivot = insert(vec)
+        pivot = _insert(vec, echelon)
         if pivot >= 0:
             reps.append(echelon[pivot])
     return reps

@@ -656,6 +656,9 @@ def test_reports_match_dense_reference_route():
 
 
 def test_tables_never_reach_dense_elimination(monkeypatch):
+    # the dimensions come from integer ranks, one elimination per shared
+    # rank; the representatives, one quotient_representatives per slot, come
+    # only when the rows are read
     def dense_elimination(*args):
         raise RuntimeError("a cohomology table reached dense elimination")
 
@@ -674,11 +677,38 @@ def test_tables_never_reach_dense_elimination(monkeypatch):
 
     for name in ("nullspace", "quotient_representatives"):
         monkeypatch.setattr(linalg, name, counted(name))
+    rank = linalg.rank
+
+    def counted_rank(vectors):
+        vectors = list(vectors)
+        calls["rank"] += 1
+        calls["nonzero rank"] += any(vectors)
+        return rank(vectors)
+
+    monkeypatch.setattr(linalg, "rank", counted_rank)
     model = nakamura(Fraction(1, 2)).model
     reports = [model.cohomology(theory, slot) for theory in THEORIES
                for slot, _ in _slots_and_spaces(model, theory)]
-    # one elimination per slot: nullspace would show as a second count
-    assert calls == {"quotient_representatives": len(reports)}
+    dimensions = sum(report.dimension for report in reports)
+    # one rank per distinct set of images serves the 2 x 84 cocycle and
+    # boundary counts; 72 of them eliminate something
+    ranks = {"rank": 124, "nonzero rank": 72}
+    assert calls == ranks and len(reports) == 84
+    assert sum(len(report.rows) for report in reports) == dimensions > 0
+    assert calls == {**ranks, "quotient_representatives": len(reports)}
+
+
+def test_a_wrong_rank_fails_the_first_read_of_rows(monkeypatch):
+    # the rows are the second route to the dimension: a rank that is off
+    # shows on the first read, with the theory, the slot and both counts
+    monkeypatch.setattr(linalg, "rank", lambda vectors: 0)
+    report = kodaira().cohomology(DE_RHAM, 2)
+    assert report.dimension == 6  # the whole slot; b_2 of Kodaira is 4
+    message = r"de_rham slot 2: 4 representatives but dimension 6"
+    with pytest.raises(RuntimeError, match=message):
+        report.rows
+    with pytest.raises(RuntimeError, match=message):
+        report.basis
 
 
 def gaussian_integer(value):
@@ -1026,6 +1056,48 @@ def test_report_rows_are_pinned():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
         "52baf6c5bdd486e1a071e37d2b3e045262e34b9c6b0328ac28fcc1b6a6890908")
+
+
+# chain_nilmanifold(3) is the Iwasawa manifold, d phi3 = -phi1 ^ phi2; its
+# tables by rows p = 0..3 (Angella, J. Geom. Anal. 23, 2013)
+IWASAWA = {
+    BOTT_CHERN: [[1, 2, 3, 1], [2, 4, 6, 2], [3, 6, 8, 3], [1, 2, 3, 1]],
+    AEPPLI: [[1, 3, 2, 1], [3, 8, 6, 3], [2, 6, 4, 2], [1, 3, 2, 1]],
+    DOLBEAULT: [[1, 2, 2, 1], [3, 6, 6, 3], [3, 6, 6, 3], [1, 2, 2, 1]],
+}
+
+
+def test_iwasawa_tables_by_ranks_and_by_rows():
+    model = chain_nilmanifold(3)
+    reports = [model.cohomology(DE_RHAM, k) for k in range(7)]
+    assert [r.dimension for r in reports] == [1, 4, 8, 10, 8, 4, 1]
+    assert [len(r.rows) for r in reports] == [1, 4, 8, 10, 8, 4, 1]
+    for theory, table in IWASAWA.items():
+        reports = [[model.cohomology(theory, (p, q)) for q in range(4)]
+                   for p in range(4)]
+        assert [[r.dimension for r in row] for row in reports] == table, theory
+        assert [[len(r.rows) for r in row] for row in reports] == table, theory
+
+
+def test_non_toral_nilmanifolds_fail_the_ddbar_count():
+    # Hasegawa (Proc. AMS 106, 1989): a nilmanifold with the ddbar-lemma is
+    # formal, hence a torus; so every non-abelian benchmark document and every
+    # chain model fails the Angella-Tomassini count in some degree, and the
+    # chain models in every degree 1..2n-1, while the torus holds in all
+    gen = bench_generators()
+    for n_closed in (2, 3):
+        for seed in range(60):
+            model = model_from_dict(
+                gen.nilpotent_document(random.Random(seed), n_closed))
+            assert any(model.differential_of(g.name)
+                       for g in model.coframe.generators), (n_closed, seed)
+            assert not all(model.ddbar_criterion(k).holds
+                           for k in range(9)), (n_closed, seed)
+    for n in range(3, 7):
+        model = chain_nilmanifold(n)
+        assert not any(model.ddbar_criterion(k).holds for k in range(1, 2 * n)), n
+    model = torus(3)
+    assert all(model.ddbar_criterion(k).holds for k in range(7))
 
 
 def test_chain_nilmanifold_dimension_five():

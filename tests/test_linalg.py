@@ -209,6 +209,29 @@ def test_sparse_elimination_matches_dense_reference():
         )
 
 
+def test_rank_matches_the_dense_reference():
+    # seeded Gaussian-integer rows with zero rows, rows repeated up to a
+    # factor and combinations of earlier rows, against the dense rref
+    rng = random.Random(37)
+    cases = [[], [[]], [[ZERO] * 3, [ZERO] * 3]]
+    for _ in range(120):
+        cases.append(random_sparse_matrix(rng, rng.randint(1, 10), rng.randint(1, 12),
+                                          rng.choice((0.1, 0.2, 0.3, 0.5))))
+    for _ in range(30):
+        cases.append(hard_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)))
+    for n in (1, 5, 9):
+        cases.append(full_rank_matrix(rng, n, 0.3))
+    deficient = 0
+    for matrix in cases:
+        rows = [integer_row(row) for row in matrix]
+        copies = [dict(row) for row in rows]
+        expected = rank(matrix)
+        assert linalg.rank(rows) == expected, matrix
+        assert rows == copies
+        deficient += expected < len(matrix)
+    assert deficient > 50
+
+
 def wide_gaussian(rng):
     """A Gaussian rational with parts near 10**12 over denominators up to
     10**6; one part in five is zero and the value is never zero."""
