@@ -14,12 +14,13 @@ one shared denominator, so its pipeline builds no fraction.
 
 The bilinear form and the Gram oracle read every pairing off one kernel per
 call: at most three wedges of sigma powers give each degree-2 monomial's
-pairing row, one sign per wedge term, and by bilinearity a form's pairing
-record is the combination of its monomials' rows, so no argument is wedged
-or integrated.  q_sigma keeps the wedge-then-integrate route as the
-independent check.  The closed-form Gram matrix of a torus is built by
-bidegree blocks, (2,0) x (0,2) and (1,1) x (1,1); every other entry
-vanishes by type and is never evaluated.
+pairing row, keyed by masks, one ``exterior.product_sign`` per wedge term
+against its complement, and by bilinearity a form's pairing record is the
+combination of its monomials' rows, so no argument is wedged or integrated.
+q_sigma keeps the wedge-then-integrate route as the independent check.  The
+closed-form Gram matrix of a torus is built by bidegree blocks, (2,0) x
+(0,2) and (1,1) x (1,1); every other entry vanishes by type and is never
+evaluated.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     OddSize,
     UnsupportedBasis,
 )
-from .exterior import merge_monomials
+from .exterior import _positions, product_sign
 from .scalars import ScalarFraction, _exact_quotient
 
 
@@ -65,8 +66,9 @@ class AntisymmetricMatrix:
         if sigma and sigma.bidegree() != (2, 0):
             raise ValueError("expected a (2,0)-form")
         entries = {}
-        for mon, coeff in sigma.terms.items():
-            entries[(mon[0] + 1, mon[1] + 1)] = coeff
+        for mask, coeff in sigma._masks.items():
+            # the 1-based positions of the lowest and the highest bit
+            entries[((mask & -mask).bit_length(), mask.bit_length())] = coeff
         return cls(cf.n_holomorphic, entries, cf.table)
 
     def entry(self, i, j):
@@ -144,14 +146,12 @@ def make_symplectic(model, sigma):
     for _ in range(n):
         powers.append(powers[-1].wedge(sigma))
         bar_powers.append(bar_powers[-1].wedge(sigma_bar))
-    top = tuple(range(h))
-    mu = powers[n].terms.get(top, model.table.zero())
+    top, zero = (1 << h) - 1, model.table.zero()
+    mu = powers[n]._masks.get(top, zero)
     if not mu:
         raise DegenerateSymplectic("sigma^n vanishes identically")
-    nu = {}
-    for i, j in combinations(range(1, h + 1), 2):
-        mon = tuple(p for p in range(h) if p not in (i - 1, j - 1))
-        nu[(i, j)] = powers[n - 1].terms.get(mon, model.table.zero())
+    nu = {(i, j): powers[n - 1]._masks.get(top ^ (1 << i - 1) ^ (1 << j - 1), zero)
+          for i, j in combinations(range(1, h + 1), 2)}
     return SymplecticSpace(
         model, sigma, n, mu, nu, sigma_bar, tuple(powers), tuple(bar_powers),
         powers[n].wedge(bar_powers[n]).integrate(),
@@ -187,12 +187,13 @@ def _pairing_kernel(space):
     form is the combination of its monomials' rows, so no form is wedged or
     integrated.
 
-    Returns (dual_rows, end_rows).  dual_rows[m] maps a degree-2 monomial k
-    to (n/2) volume I[k m s^(n-1) sb^(n-1)]: each term w of
-    W0 = s^(n-1) sb^(n-1) leaves four positions a < b < c < d, and its
-    value, the W0 coefficient pre-scaled by (n/2) volume V, goes to both
-    orders of the splits ab|cd, ac|bd and ad|bc with the signs +, -, + of
-    k m against abcd, times the one sign of I[abcd w].  end_rows[m] holds
+    Returns (dual_rows, end_rows), keyed by monomial masks.  dual_rows[m]
+    maps a degree-2 monomial k to (n/2) volume I[k m s^(n-1) sb^(n-1)]:
+    each term w of W0 = s^(n-1) sb^(n-1) leaves four positions a < b < c <
+    d, the complement full ^ w, and its value, the W0 coefficient
+    pre-scaled by (n/2) volume V, goes to both orders of the splits ab|cd,
+    ac|bd and ad|bc with the signs +, -, + of k m against abcd, times the
+    one sign of I[abcd w].  end_rows[m] holds
     the nonzero values among "holo" = (1-n)/2 I[m s^(n-1) sb^n] and
     "anti" = I[m s^n sb^(n-1)]; it is empty when n = 1, where the (1-n)
     term vanishes."""
@@ -200,20 +201,20 @@ def _pairing_kernel(space):
     s, sb = space.sigma_pow, space.sigma_bar_pow
     cf = space.model.coframe
     v = cf.table.variable(cf.volume_variable)
-    top = cf.volume_monomial
+    full = (1 << len(cf.generators)) - 1  # the volume names every generator
 
     def signed(value, mon, complement):
         # value times the sign of the volume monomial in complement ^ mon
-        sign = merge_monomials(complement, mon)[0]
-        return value if sign == cf.volume_sign else -value
+        return value if product_sign(complement, mon) == cf.volume_sign else -value
 
     dual_rows = {}
     scale = space.volume * v * Fraction(n, 2)
-    for w, coeff in s[n - 1].wedge(sb[n - 1]).terms.items():
-        a, b, c, d = rest = tuple(p for p in top if p not in w)
+    for w, coeff in s[n - 1].wedge(sb[n - 1])._masks.items():
+        rest = full ^ w
+        a, b, c, d = (1 << p for p in _positions(rest))
         value = signed(coeff * scale, w, rest)
-        for m, k, split in (((a, b), (c, d), value), ((a, c), (b, d), -value),
-                            ((a, d), (b, c), value)):
+        for m, k, split in ((a | b, c | d, value), (a | c, b | d, -value),
+                            (a | d, b | c, value)):
             dual_rows.setdefault(m, {})[k] = dual_rows.setdefault(k, {})[m] = split
     end_rows = {}
     if n != 1:  # the (1-n) term vanishes on a surface
@@ -221,8 +222,8 @@ def _pairing_kernel(space):
             ("holo", s[n - 1].wedge(sb[n]), v * Fraction(1 - n, 2)),
             ("anti", s[n].wedge(sb[n - 1]), v),
         ):
-            for mon, coeff in form.terms.items():
-                k = tuple(p for p in top if p not in mon)
+            for mon, coeff in form._masks.items():
+                k = full ^ mon
                 end_rows.setdefault(k, {})[name] = signed(coeff * scale, mon, k)
     return dual_rows, end_rows
 
@@ -232,7 +233,7 @@ def _combination(rows, form, one):
     {key: value} map of its nonzero values; a unit coefficient multiplies
     nothing."""
     total = {}
-    for mon, coeff in form.terms.items():
+    for mon, coeff in form._masks.items():
         unit = coeff == one
         for key, value in rows.get(mon, {}).items():
             if not unit:
@@ -258,7 +259,7 @@ def _pairing_table(space, forms):
     dual_rows, end_rows = _pairing_kernel(space)
     index = {}
     for j, form in enumerate(forms):
-        for mon, coeff in form.terms.items():
+        for mon, coeff in form._masks.items():
             index.setdefault(mon, []).append((j, None if coeff == one else coeff))
     rows, holo, anti = [], [], []
     for i, form in enumerate(forms):
@@ -404,15 +405,16 @@ def _classify_standard(space, form):
     cf = space.model.coframe
     if form.coframe is not cf:
         raise ModelMismatch("basis form belongs to a different model")
-    if len(form.terms) != 1:
+    if len(form._masks) != 1:
         raise UnsupportedBasis(f"{form} is not a standard basis monomial")
-    (mon, coeff), = form.terms.items()
-    if coeff != space.model.table.one() or len(mon) != 2:
+    (mask, coeff), = form._masks.items()
+    if coeff != space.model.table.one() or mask.bit_count() != 2:
         raise UnsupportedBasis(f"{form} is not a standard basis monomial")
     h = cf.n_holomorphic
-    p, q = cf.monomial_bidegree(mon)
-    # antiholomorphic positions count from h
-    return (p, q), (mon[0] + 1 - h * (p == 0), mon[1] + 1 - h * (p != 2))
+    p, q = cf.monomial_bidegree(mask)
+    # the 1-based positions of the two bits; antiholomorphic ones count from h
+    low, high = (mask & -mask).bit_length(), mask.bit_length()
+    return (p, q), (low - h * (p == 0), high - h * (p != 2))
 
 
 def gram_discrepancies(reference, candidate):

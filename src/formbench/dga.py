@@ -2,15 +2,17 @@
 
 The differential of each generator is a degree-two form; d extends as a
 graded derivation and splits as d = del + delbar by bidegree.  One Leibniz
-loop on bitmask monomials, its signs read off bit counts, gives both the
-operators on forms and the Gaussian-integer rows (cleared over one common
-denominator) on which De Rham, Dolbeault, Bott-Chern and Aeppli cohomology is
-computed by exact elimination, with no tolerance anywhere.
+loop on the monomial masks of ``exterior``, each term signed by its
+``product_sign``, gives both the operators on forms and the Gaussian-integer
+rows (cleared over one common denominator) on which De Rham, Dolbeault,
+Bott-Chern and Aeppli cohomology is computed by exact elimination, with no
+tolerance anywhere.  Position tuples are built only for the report rows and
+``monomials_of_degree``/``monomials_of_bidegree``.
 
 A dimension is dim(slot) - rank(cocycle operators) - rank(boundaries), so the
 de Rham and Dolbeault Euler characteristics vanish by construction; rank d on
 degree k serves b_k and b_(k+1).  Validated models are immutable and memoize
-reports, integer ranks, operator images, integer d rows and slot monomials;
+reports, integer ranks, operator images, integer d rows and slot masks;
 entries are written once under the GIL and idempotent: concurrent reads are safe.
 """
 
@@ -24,7 +26,7 @@ from itertools import chain, combinations
 from . import linalg
 from .errors import (IntegrabilityError, ModelMismatch, NotClosed, UnknownVariable,
                      UnspecializedParameters)
-from .exterior import Form
+from .exterior import Form, _form, _positions, product_sign
 from .scalars import ZERO, GaussianRational, _integer_terms
 
 DE_RHAM = "de_rham"
@@ -51,8 +53,8 @@ class CohomologyReport:
 
     ``slot`` is a degree k for de Rham and a bidegree pair (p, q) otherwise.
     The dimension comes from ranks.  The first read of ``rows`` runs
-    ``linalg.quotient_representatives`` on ``_inputs`` (monomials, cocycle
-    images, boundaries), drops them, gives each ``(s, row)`` as a tuple
+    ``linalg.quotient_representatives`` on ``_inputs`` (monomial masks,
+    cocycle images, boundaries), drops them, gives each ``(s, row)`` as a tuple
     ``(s, monomial, re, im, ...)`` and raises RuntimeError if their count is
     not the dimension; ``basis`` divides each by s into a form.  Both memoize.
     """
@@ -144,12 +146,12 @@ class StructureModel:
                 diff[coframe.position[name]] = form
         self._differentials = diff
         self._form_table = _leibniz_table(
-            (pos, m, (c, -c)) for pos, f in diff.items() for m, c in f.terms.items())
+            (pos, m, (c, -c)) for pos, f in diff.items() for m, c in f._masks.items())
         self._integer_table = None  # the differentials times D, on Gaussian integers
         self._d_row_cache = {}  # monomial mask -> D times its d, on Gaussian integers
         self._image_cache = {}  # (source slot, step) -> images
         self._ranks = {}  # ((source slot, step), ...) -> rank of their images
-        self._spaces = {}  # slot -> (tuple of monomials, tuple of their masks)
+        self._spaces = {}  # slot -> tuple of monomial masks
         self._reports = {}
         self._zero = coframe.zero_form()
         self.validate()
@@ -178,18 +180,17 @@ class StructureModel:
         cf = self.coframe
         one = cf.table.one()
         terms = {}
-        for mon, coeff in form.terms.items():
+        for mask, coeff in form._masks.items():
             unit = coeff == one
-            target = None if step is None else _shift(cf.monomial_bidegree(mon), step)
-            for m, c in _derivation(_mask(mon), self._form_table):
-                m = tuple(p for p in range(m.bit_length()) if m >> p & 1)
+            target = None if step is None else _shift(cf.monomial_bidegree(mask), step)
+            for m, c in _derivation(mask, self._form_table):
                 if target is not None and cf.monomial_bidegree(m) != target:
                     continue
                 if not unit:
                     c = c * coeff
                 old = terms.get(m)
                 terms[m] = c if old is None else old + c
-        return Form(cf, terms)
+        return _form(cf, terms)
 
     def d(self, form):
         """Graded Leibniz extension of the generator differentials."""
@@ -251,33 +252,35 @@ class StructureModel:
     # -- graded pieces of the algebra ------------------------------------------
 
     def monomials_of_degree(self, k):
-        n = len(self.coframe.generators)
-        return list(combinations(range(n), k)) if 0 <= k <= n else []
+        return list(map(_positions, self._space(k)))
 
     def monomials_of_bidegree(self, p, q):
-        cf = self.coframe
-        if p < 0 or q < 0:
-            return []
-        anti = list(combinations(range(cf.n_holomorphic, len(cf.generators)), q))
-        return [h + a for h in combinations(range(cf.n_holomorphic), p) for a in anti]
+        return list(map(_positions, self._space((p, q))))
 
-    def _space(self, slot, masks=False):
-        """The monomial basis of a degree k or a bidegree (p, q) as a tuple,
-        or with masks their bitmasks in the same order; memoized."""
-        spaces = self._spaces.get(slot)
-        if spaces is None:
-            space = tuple(self.monomials_of_degree(slot) if isinstance(slot, int)
-                          else self.monomials_of_bidegree(*slot))
-            spaces = self._spaces[slot] = (space, tuple(map(_mask, space)))
-        return spaces[1] if masks else spaces[0]
+    def _space(self, slot):
+        """The monomial masks of a degree k or a bidegree (p, q) as a tuple,
+        in lexicographic order of their position tuples (holomorphic part
+        first); memoized."""
+        space = self._spaces.get(slot)
+        if space is None:
+            bits = [1 << p for p in range(len(self.coframe.generators))]
+            h = self.coframe.n_holomorphic
+            parts = ([(bits, slot)] if isinstance(slot, int)
+                     else zip((bits[:h], bits[h:]), slot))
+            space = [0]
+            for part, k in parts:
+                space = [m + s for m in space
+                         for s in map(sum, combinations(part, k))] if k >= 0 else []
+            space = self._spaces[slot] = tuple(space)
+        return space
 
     def _vector(self, form, theory, slot, monomials):
         index = {m: i for i, m in enumerate(monomials)}
         vec = [ZERO] * len(monomials)
-        for mon, coeff in form.terms.items():
+        for mon, coeff in form._masks.items():
             if mon not in index:
-                name = "^".join(self.coframe.generators[p].name for p in mon)
-                raise ValueError(f"{name or '1'} is not in {theory} slot {slot}")
+                monomial = _form(self.coframe, {mon: self.table.one()})
+                raise ValueError(f"{monomial} is not in {theory} slot {slot}")
             vec[index[mon]] = self._constant(coeff)
         return vec
 
@@ -297,7 +300,7 @@ class StructureModel:
                 cleared, _ = _integer_terms({
                     (pos, m): self._constant(c)
                     for pos, form in self._differentials.items()
-                    for m, c in form.terms.items()})
+                    for m, c in form._masks.items()})
                 self._integer_table = _leibniz_table(
                     (*key, (xy, (-xy[0], -xy[1]))) for key, xy in cleared.items())
             row = self._d_row_cache[mask] = _row(_derivation(mask, self._integer_table))
@@ -319,9 +322,9 @@ class StructureModel:
                                for c, (x, y) in outer[j].items()) if row else {}
                           for row in self._images(slot, (0, 1))]
             else:
-                target = self._space(_shift(slot, step), masks=True)
+                target = self._space(_shift(slot, step))
                 index = {m: i for i, m in enumerate(target)}
-                rows = map(self._integer_d, self._space(slot, masks=True))
+                rows = map(self._integer_d, self._space(slot))
                 cached = [{index[m]: xy for m, xy in row.items() if m in index}
                           if row else {} for row in rows]
             self._image_cache[key] = cached
@@ -353,7 +356,7 @@ class StructureModel:
         """Rank of the images under keys, or of d for joint (del, delbar); memoized."""
         rank = self._ranks.get(keys)
         if rank is None:
-            vectors = (map(self._integer_d, self._space(keys[0][0], masks=True))
+            vectors = (map(self._integer_d, self._space(keys[0][0]))
                        if joint and len(keys) > 1 else
                        [v for k in keys for v in self._images(*k)])
             rank = self._ranks[keys] = linalg.rank(vectors)
@@ -422,17 +425,17 @@ class StructureModel:
 
 
 def _leibniz_table(terms):
-    """The (position i, monomial, (coefficient, its negative)) terms of the
+    """The (position i, mask, (coefficient, its negative)) terms of the
     differentials as ((bit of i, terms), ...) in position order, each term
-    (mask, sign mask, signed).  The sign flips popcount(rest & low(j)) times
-    for j = i and each term generator j, low(j) = 2^j - 1: in parity, that
-    is popcount(rest & sign mask), sign mask = low(i) ^ every low(j)."""
+    (mask, signer, signed) with signer = bit of i ^ mask.  The Leibniz term
+    of x_i in the monomial bit | rest is product_sign(bit, rest) *
+    product_sign(mask, rest) times mask | rest: x_i moved to the front, then
+    d(x_i) wedged with rest.  The parity of product_sign is additive in its left mask
+    under ^, so that is product_sign(signer, rest), which is 0 exactly when
+    mask meets rest."""
     table = {}
-    for pos, mon, signed in terms:
-        sign_mask = (1 << pos) - 1
-        for j in mon:
-            sign_mask ^= (1 << j) - 1
-        table.setdefault(pos, []).append((_mask(mon), sign_mask, signed))
+    for pos, mask, signed in terms:
+        table.setdefault(pos, []).append((mask, (1 << pos) ^ mask, signed))
     return tuple((1 << pos, tuple(table[pos])) for pos in sorted(table))
 
 
@@ -442,17 +445,10 @@ def _derivation(mask, table):
     for bit, terms in table:
         if mask & bit:
             rest = mask ^ bit
-            for term, sign_mask, signed in terms:
-                if not rest & term:
-                    yield rest | term, signed[(rest & sign_mask).bit_count() & 1]
-
-
-def _mask(monomial):
-    """The bitmask of a monomial, bit p for the generator at position p."""
-    mask = 0
-    for p in monomial:
-        mask |= 1 << p
-    return mask
+            for term, signer, signed in terms:
+                sign = product_sign(signer, rest)
+                if sign:
+                    yield rest | term, signed[sign < 0]
 
 
 def _row(entries):
@@ -468,11 +464,12 @@ def _row(entries):
 
 
 def _report_row(s, row, space):
-    """(s, monomial, re, im, ...) of a row in monomial order; no sort for a unit."""
+    """(s, monomial, re, im, ...) of a row in monomial order, each monomial
+    the position tuple of its mask in space; no sort for a unit."""
     if len(row) == 1:
         [(c, (x, y))] = row.items()
-        return (s, space[c], x, y)
-    return (s, *[v for c in sorted(row) for v in (space[c], *row[c])])
+        return (s, _positions(space[c]), x, y)
+    return (s, *[v for c in sorted(row) for v in (_positions(space[c]), *row[c])])
 
 
 def _shift(slot, step, sign=1):

@@ -2,11 +2,15 @@
 generators: wedge products, powers, conjugation, bidegree decomposition and
 top-degree integration.
 
-Monomials are kept in a fixed canonical order: all (1,0) generators in the
-order listed, then all (0,1) generators in the order listed.  Every sign in
-the package is normalized to this order, which keeps rendered output and
-golden comparisons deterministic.  Forms and coframes are immutable and all
-operations are pure, so values can be shared freely across threads.
+A monomial is a bitmask, bit p for the generator at position p, and stands
+for its generators in the canonical order: all (1,0) generators in the order
+listed, then all (0,1) generators in the order listed.  ``product_sign`` is
+the one sign rule of the package: two monomials wedge to their union with
+the parity of one bit count, or to zero when they share a generator.  A
+Form stores {mask: coefficient}; position tuples are built only where a
+monomial leaves the package: the ``terms`` view, rendering and error
+messages.  Forms and coframes are immutable and all operations are pure, so
+values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -29,46 +33,35 @@ class Generator:
         return self.bidegree == (1, 0)
 
 
-def sort_with_sign(positions):
-    """Sort generator positions, counting transpositions.
+def product_sign(left, right):
+    """The sign of the wedge of the monomials of masks left and right as the
+    monomial of left | right, 0 when they share a generator: the parity of
+    the pairs of a generator of left above one of right is one bit count,
+    popcount(right & crossing), crossing the positions below an odd number
+    of the generators of left."""
+    if left & right:
+        return 0
+    crossing = 0
+    while left:
+        low = left & -left
+        crossing ^= low - 1
+        left ^= low
+    return -1 if (right & crossing).bit_count() & 1 else 1
 
-    Returns (sign, tuple) with sign 0 when a generator repeats.
-    """
-    sign, monomial = 1, ()
+
+def _sorted(positions):
+    """(sign, mask) of the product of the generators at positions in the
+    order given, sign 0 when a generator repeats."""
+    sign, mask = 1, 0
     for pos in positions:
-        step, monomial = merge_monomials(monomial, (pos,))
-        if not step:
-            return 0, None
-        sign *= step
-    return sign, monomial
+        sign *= product_sign(mask, 1 << pos)
+        mask |= 1 << pos
+    return sign, mask
 
 
-def merge_monomials(left, right):
-    """Merge two canonical monomials, counting the transpositions needed to
-    interleave them.  Returns (sign, tuple) with sign 0 on a repeated
-    generator."""
-    if not left:
-        return 1, right
-    if not right:
-        return 1, left
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        a, b = left[i], right[j]
-        if a == b:
-            return 0, None
-        if a < b:
-            merged.append(a)
-            i += 1
-        else:
-            merged.append(b)
-            j += 1
-            if (len(left) - i) % 2:
-                sign = -sign
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return sign, tuple(merged)
+def _positions(mask):
+    """The increasing position tuple of a monomial mask."""
+    return tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 class Coframe:
@@ -118,9 +111,8 @@ class Coframe:
             listed = [self.position[name] for name in volume]
             if sorted(listed) != list(range(len(generators))):
                 raise ValueError("volume must name every generator exactly once")
-            sign, mon = sort_with_sign(listed)
-            self.volume_monomial = mon
-            self.volume_sign = sign
+            self.volume_monomial = tuple(range(len(generators)))
+            self.volume_sign = _sorted(listed)[0]
         self.volume_variable = "V"
         if volume is not None and "V" not in table.names:
             raise ValueError("scalar table must declare V")
@@ -129,30 +121,29 @@ class Coframe:
         names = ",".join(g.name for g in self.generators)
         return f"<Coframe {names}>"
 
-    def monomial_bidegree(self, monomial):
-        p = sum(1 for pos in monomial if pos < self.n_holomorphic)
-        return (p, len(monomial) - p)
+    def monomial_bidegree(self, mask):
+        q = (mask >> self.n_holomorphic).bit_count()
+        return (mask.bit_count() - q, q)
 
     # -- form constructors ---------------------------------------------------
 
     def zero_form(self):
-        return Form(self, {})
+        return _form(self, {})
 
     def unit(self, scalar=1):
-        return Form(self, {(): self.table.coerce(scalar)})
+        return _form(self, {0: self.table.coerce(scalar)})
 
     def generator_form(self, name):
         if name not in self.position:
             raise UnknownVariable(name)
-        return Form(self, {(self.position[name],): self.table.one()})
+        return _form(self, {1 << self.position[name]: self.table.one()})
 
     def monomial_form(self, names, coefficient=1):
-        positions = [self.position[n] for n in names]
-        sign, mon = sort_with_sign(positions)
+        sign, mask = _sorted(self.position[n] for n in names)
         if sign == 0:
             return self.zero_form()
         coeff = self.table.coerce(coefficient)
-        return Form(self, {mon: coeff if sign > 0 else -coeff})
+        return _form(self, {mask: coeff if sign > 0 else -coeff})
 
     def form(self, terms):
         """Build a form from {monomial names tuple: coefficient}."""
@@ -163,30 +154,47 @@ class Coframe:
 
 
 class Form:
-    """A sparse element of the exterior algebra: canonical monomials mapped to
-    polynomial coefficients."""
+    """A sparse element of the exterior algebra: monomial masks mapped to
+    nonzero polynomial coefficients.  The constructor takes them keyed by
+    strictly increasing position tuples; ``terms`` is that view, built on
+    each read."""
 
-    __slots__ = ("coframe", "terms")
+    __slots__ = ("coframe", "_masks")
 
     def __init__(self, coframe, terms):
-        object.__setattr__(self, "coframe", coframe)
-        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
+        n = len(coframe.generators)
+        masks = {}
+        for mon, c in terms.items():
+            mask = 0
+            for pos in mon:
+                if not 0 <= pos < n or mask >> pos:
+                    raise ValueError(f"monomial {mon!r} is not a strictly "
+                                     f"increasing tuple of positions below {n}")
+                mask |= 1 << pos
+            if c:
+                masks[mask] = c
+        _set(self, "coframe", coframe)
+        _set(self, "_masks", masks)
 
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
+
+    @property
+    def terms(self):
+        return {_positions(m): c for m, c in self._masks.items()}
 
     def _check(self, other):
         if other.coframe is not self.coframe:
             raise ModelMismatch("forms over different coframes")
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._masks)
 
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
         self._check(other)
-        return self.terms == other.terms
+        return self._masks == other._masks
 
     __hash__ = None
 
@@ -196,18 +204,14 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            s = c if s is None else s + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Form(self.coframe, terms)
+        masks = dict(self._masks)
+        for m, c in other._masks.items():
+            old = masks.get(m)
+            masks[m] = c if old is None else old + c
+        return _form(self.coframe, masks)
 
     def __neg__(self):
-        return Form(self.coframe, {m: -c for m, c in self.terms.items()})
+        return _form(self.coframe, {m: -c for m, c in self._masks.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -218,26 +222,20 @@ class Form:
 
     def scaled(self, scalar):
         coeff = self.coframe.table.coerce(scalar)
-        return Form(self.coframe, {m: c * coeff for m, c in self.terms.items()})
+        return _form(self.coframe, {m: c * coeff for m, c in self._masks.items()})
 
     def wedge(self, other):
         self._check(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sign, mon = merge_monomials(m1, m2)
-                if sign == 0:
-                    continue
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                s = terms.get(mon)
-                s = c if s is None else s + c
-                if s:
-                    terms[mon] = s
-                else:
-                    terms.pop(mon, None)
-        return Form(self.coframe, terms)
+        masks = {}
+        right = other._masks.items()
+        for m1, c1 in self._masks.items():
+            for m2, c2 in right:
+                sign = product_sign(m1, m2)
+                if sign:
+                    c = c1 * c2 if sign > 0 else -(c1 * c2)
+                    old = masks.get(m1 | m2)
+                    masks[m1 | m2] = c if old is None else old + c
+        return _form(self.coframe, masks)
 
     def __mul__(self, other):
         if isinstance(other, Form):
@@ -258,13 +256,13 @@ class Form:
 
     def bidegree(self):
         """The (p,q) of a homogeneous form, None for zero or mixed forms."""
-        degrees = {self.coframe.monomial_bidegree(m) for m in self.terms}
+        degrees = {self.coframe.monomial_bidegree(m) for m in self._masks}
         if len(degrees) == 1:
             return degrees.pop()
         return None
 
     def total_degree(self):
-        degrees = {len(m) for m in self.terms}
+        degrees = {m.bit_count() for m in self._masks}
         if len(degrees) == 1:
             return degrees.pop()
         return None
@@ -272,39 +270,29 @@ class Form:
     def component(self, p, q):
         """Projection onto the monomials of bidegree (p, q)."""
         wanted = (p, q)
-        return Form(
-            self.coframe,
-            {m: c for m, c in self.terms.items()
-             if self.coframe.monomial_bidegree(m) == wanted},
-        )
+        bidegree = self.coframe.monomial_bidegree
+        return _form(self.coframe, {m: c for m, c in self._masks.items()
+                                    if bidegree(m) == wanted})
 
     # -- involution, evaluation, integration -----------------------------------
 
     def conjugate(self):
         """Antilinear involution swapping bidegrees (p,q) <-> (q,p)."""
-        conj = self.coframe.conjugate_position
-        terms = {}
-        for m, c in self.terms.items():
-            mapped = []
-            for pos in m:
-                if conj[pos] is None:
-                    raise UnknownVariable(
-                        f"{self.coframe.generators[pos].name} has no conjugate"
-                    )
-                mapped.append(conj[pos])
-            sign, mon = sort_with_sign(mapped)
-            coeff = c.conjugate()
-            if sign < 0:
-                coeff = -coeff
-            s = terms.get(mon)
-            terms[mon] = coeff if s is None else s + coeff
-        return Form(self.coframe, terms)
+        cf = self.coframe
+        conj = cf.conjugate_position
+        masks = {}
+        for m, c in self._masks.items():
+            mates = [conj[pos] for pos in _positions(m)]
+            if None in mates:
+                pos = _positions(m)[mates.index(None)]
+                raise UnknownVariable(f"{cf.generators[pos].name} has no conjugate")
+            sign, mask = _sorted(mates)  # distinct masks map to distinct masks
+            masks[mask] = c.conjugate() if sign > 0 else -c.conjugate()
+        return _form(cf, masks)
 
     def substitute(self, assignment):
-        return Form(
-            self.coframe,
-            {m: c.substitute(assignment) for m, c in self.terms.items()},
-        )
+        return _form(self.coframe, {m: c.substitute(assignment)
+                                    for m, c in self._masks.items()})
 
     def integrate(self):
         """The coefficient of the declared volume monomial times the formal
@@ -312,7 +300,8 @@ class Form:
         cf = self.coframe
         if cf.volume_monomial is None:
             raise ValueError("coframe has no volume monomial")
-        coeff = self.terms.get(cf.volume_monomial)
+        # the volume names every generator
+        coeff = self._masks.get((1 << len(cf.generators)) - 1)
         if coeff is None:
             return cf.table.zero()
         value = coeff * cf.table.variable(cf.volume_variable)
@@ -345,3 +334,14 @@ class Form:
     def __repr__(self):
         return f"<Form {self}>"
 
+
+_set = object.__setattr__
+
+
+def _form(coframe, masks):
+    """A Form from {mask: coefficient}, zero coefficients dropped, with no
+    check of the masks."""
+    form = object.__new__(Form)
+    _set(form, "coframe", coframe)
+    _set(form, "_masks", {m: c for m, c in masks.items() if c})
+    return form

@@ -4,7 +4,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from formbench.exterior import merge_monomials
 from formbench.linalg import _primitive, rref
 from formbench.scalars import ONE, ZERO, GaussianRational, PolyScalar
 
@@ -275,6 +274,84 @@ def exact_rows(reps):
     """The text of (s, row) representatives with each row's entries in key
     order: equal texts mean the same integers, int for int."""
     return repr([(s, sorted(row.items())) for s, row in reps])
+
+
+# -- position tuples: reference route of the monomial masks of formbench -----------
+
+
+def sort_with_sign(positions):
+    """Sort generator positions, counting transpositions.
+
+    Returns (sign, tuple) with sign 0 when a generator repeats.
+    """
+    sign, monomial = 1, ()
+    for pos in positions:
+        step, monomial = merge_monomials(monomial, (pos,))
+        if not step:
+            return 0, None
+        sign *= step
+    return sign, monomial
+
+
+def merge_monomials(left, right):
+    """Merge two canonical monomials, counting the transpositions needed to
+    interleave them.  Returns (sign, tuple) with sign 0 on a repeated
+    generator."""
+    if not left:
+        return 1, right
+    if not right:
+        return 1, left
+    merged = []
+    sign = 1
+    i = j = 0
+    while i < len(left) and j < len(right):
+        a, b = left[i], right[j]
+        if a == b:
+            return 0, None
+        if a < b:
+            merged.append(a)
+            i += 1
+        else:
+            merged.append(b)
+            j += 1
+            if (len(left) - i) % 2:
+                sign = -sign
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    return sign, tuple(merged)
+
+
+def tuple_wedge(left, right):
+    """The {position tuple: coefficient} terms of the wedge of two forms,
+    term pair by term pair with ``merge_monomials``."""
+    terms = {}
+    for m1, c1 in left.terms.items():
+        for m2, c2 in right.terms.items():
+            sign, mon = merge_monomials(m1, m2)
+            if sign:
+                terms[mon] = terms.get(mon, 0) + (c1 * c2 if sign > 0 else -(c1 * c2))
+    return {m: c for m, c in terms.items() if c}
+
+
+def tuple_conjugate(form):
+    """The {position tuple: coefficient} terms of the conjugate of a form,
+    each mapped monomial sorted with ``sort_with_sign``."""
+    mates = form.coframe.conjugate_position
+    terms = {}
+    for mon, c in form.terms.items():
+        sign, mapped = sort_with_sign([mates[p] for p in mon])
+        terms[mapped] = c.conjugate() if sign > 0 else -c.conjugate()
+    return terms
+
+
+def mask_of(monomial):
+    """The bitmask of a position tuple, bit p for the generator at position p."""
+    return sum(1 << p for p in monomial)
+
+
+def positions_of(mask):
+    """The increasing position tuple of a bitmask."""
+    return tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 # -- the tuple Leibniz rule: reference route of the bitmask loop in formbench.dga ---

@@ -23,7 +23,6 @@ from formbench.dga import (
     StructureModel,
     _derivation,
     _leibniz_table,
-    _mask,
     _shift,
 )
 from formbench.errors import (
@@ -34,17 +33,24 @@ from formbench.errors import (
 )
 from formbench.exterior import Coframe, Form, Generator
 from formbench.models import kodaira, model_from_dict, nakamura, torus
-from formbench.scalars import ZERO, GaussianRational, PolyScalar, VariableTable
+from formbench.scalars import (ZERO, GaussianRational, PolyScalar, VariableTable,
+                               join_terms)
 from support import (
     exact_rows,
     gaussian,
     leibniz_terms,
+    mask_of,
     nonzero_gaussian,
+    positions_of,
     random_form,
+    random_poly,
     reference_integer_d,
     reference_nullspace,
     reference_quotient_representatives,
     scan_quotient_representatives,
+    sort_with_sign,
+    tuple_conjugate,
+    tuple_wedge,
 )
 
 I = GaussianRational(0, 1)
@@ -739,7 +745,7 @@ def test_images_match_public_operators(make):
         for step in steps:
             scale = den * den if step == (1, 1) else den
             target = model._space(_shift(slot, step))
-            index = {m: i for i, m in enumerate(target)}
+            index = {positions_of(m): i for i, m in enumerate(target)}
             expected = [
                 {index[m]: gaussian_integer(c.constant_value() * scale)
                  for m, c in operators[step](Form(cf, {mon: one})).terms.items()}
@@ -772,8 +778,8 @@ def test_full_table_makes_no_operator_wedge_or_polynomial_product(monkeypatch):
     monkeypatch.setattr(Form, "__init__", counted("Form", Form.__init__))
     monkeypatch.setattr(VariableTable, "constant",
                         counted("constant", VariableTable.constant))
-    monkeypatch.setattr(exterior, "merge_monomials",
-                        counted("merge_monomials", exterior.merge_monomials))
+    for module in (exterior, dga):  # the unchecked constructor, by either name
+        monkeypatch.setattr(module, "_form", counted("_form", module._form))
     builds = Counter()
 
     def derivation(mask, table):
@@ -908,13 +914,20 @@ def test_key_ordered_elimination_matches_the_scan_on_every_slot():
 
 
 def test_space_memo_hands_out_tuples():
+    # a tuple of the slot's monomial masks, in the order of the position
+    # tuples of monomials_of_degree and monomials_of_bidegree
     model = kodaira()
-    for slot in (0, 2, (1, 0), (2, 2), (3, 0)):
+    n, h = len(model.coframe.generators), model.coframe.n_holomorphic
+    for slot in (-1, 0, 2, 5, (1, 0), (2, 2), (3, 0), (0, -1)):
         space = model._space(slot)
         assert type(space) is tuple and model._space(slot) is space
-        expected = (model.monomials_of_degree(slot) if isinstance(slot, int)
-                    else model.monomials_of_bidegree(*slot))
-        assert space == tuple(expected)
+        if isinstance(slot, int):
+            expected = list(combinations(range(n), slot)) if 0 <= slot else []
+        else:
+            expected = [mon for k in range(n + 1)
+                        for mon in combinations(range(n), k)
+                        if (sum(p < h for p in mon), sum(p >= h for p in mon)) == slot]
+        assert space == tuple(map(mask_of, expected)), slot
 
 
 def _terms(form):
@@ -1009,9 +1022,9 @@ def test_integer_d_matches_the_tuple_route_on_every_monomial():
         n = len(model.coframe.generators)
         for k in range(n + 1):
             for mon in combinations(range(n), k):
-                expected = [(_mask(m), xy)
+                expected = [(mask_of(m), xy)
                             for m, xy in reference_integer_d(model, mon).items()]
-                assert list(model._integer_d(_mask(mon)).items()) == expected, (
+                assert list(model._integer_d(mask_of(mon)).items()) == expected, (
                     model, mon)
                 checked += 1
     assert checked == 2 * 16 + 2 * 256 + 1024 + 12 * 256
@@ -1032,17 +1045,71 @@ def test_bitmask_signs_match_merge_monomials():
             differentials[pos] = {
                 tuple(sorted(rng.sample(range(n), min(k, n)))): rng.randint(1, 9)
                 for k in degrees}
-        table = _leibniz_table((pos, mon, (c, -c)) for pos, terms in differentials.items()
+        table = _leibniz_table((pos, mask_of(mon), (c, -c))
+                               for pos, terms in differentials.items()
                                for mon, c in terms.items())
         for _ in range(20):
             mon = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
-            expected = [(_mask(m), sign * c)
+            expected = [(mask_of(m), sign * c)
                         for sign, m, c in leibniz_terms(mon, differentials)]
-            assert list(_derivation(_mask(mon), table)) == expected, (differentials, mon)
+            assert list(_derivation(mask_of(mon), table)) == expected, (
+                differentials, mon)
             kept += len(expected)
             overlapping += sum(1 for i in mon for term in differentials.get(i, ())
                                if set(term) & set(mon) - {i})
     assert kept > 1000 and overlapping > 1000
+
+
+def test_form_masks_match_the_tuple_route():
+    # Form keeps its terms on bitmasks; wedge, conjugate, component,
+    # bidegree, integrate and str against merge_monomials and sort_with_sign
+    # on the position tuples of the terms view, with polynomial coefficients
+    # over coframes of 2 x 1 to 2 x 9 generators, every other one with the
+    # first and last generator of its volume swapped
+    rng = random.Random(79)
+    table = VariableTable([("V", "V"), ("t", "tb")])
+    overlapping = kept = 0
+    for trial in range(120):
+        n = rng.randint(1, 9)
+        holo, anti = [f"x{i}" for i in range(n)], [f"xb{i}" for i in range(n)]
+        volume = holo + anti
+        if trial % 2:
+            volume[0], volume[-1] = volume[-1], volume[0]
+        cf = Coframe([Generator(g, (1, 0)) for g in holo]
+                     + [Generator(g, (0, 1)) for g in anti],
+                     table, conjugates=dict(zip(holo, anti)), volume=volume)
+        top = tuple(range(2 * n))
+
+        def random_terms():
+            mons = [tuple(sorted(rng.sample(top, rng.randint(0, min(3, 2 * n)))))
+                    for _ in range(rng.randint(0, 4))]
+            if rng.random() < 0.3:
+                mons.append(top)
+            return Form(cf, {mon: random_poly(rng, table) for mon in mons})
+
+        a, b = random_terms(), random_terms()
+        product = a.wedge(b)
+        assert product.terms == tuple_wedge(a, b)
+        kept += len(product.terms)
+        overlapping += sum(1 for m1 in a.terms for m2 in b.terms if set(m1) & set(m2))
+        assert a.conjugate().terms == tuple_conjugate(a)
+
+        def bidegree(mon):
+            return sum(p < n for p in mon), sum(p >= n for p in mon)
+
+        slots = set(map(bidegree, a.terms))
+        assert a.bidegree() == (min(slots) if len(slots) == 1 else None)
+        degrees = set(map(len, a.terms))
+        assert a.total_degree() == (min(degrees) if len(degrees) == 1 else None)
+        for slot in slots | {(1, 0)}:
+            assert a.component(*slot).terms == {
+                mon: c for mon, c in a.terms.items() if bidegree(mon) == slot}
+        sign = sort_with_sign([cf.position[g] for g in volume])[0]
+        assert a.integrate() == (
+            a.terms.get(top, table.zero()) * table.variable("V") * sign)
+        order = sorted(a.terms.items(), key=lambda t: (len(t[0]), t[0]))
+        assert str(a) == join_terms([str(Form(cf, {mon: c})) for mon, c in order])
+    assert kept > 100 and overlapping > 100
 
 
 def test_report_rows_are_pinned():

@@ -1,14 +1,15 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from formbench.errors import ModelMismatch, UnknownVariable
-from formbench.exterior import merge_monomials, sort_with_sign
 from formbench.expressions import parse_form
+from formbench.exterior import Form
 from formbench.models import nakamura, torus
 from formbench.scalars import GaussianRational
-from support import gaussian, random_form
+from support import gaussian, merge_monomials, random_form, sort_with_sign
 
 I = GaussianRational(0, 1)
 
@@ -197,6 +198,18 @@ def test_scalar_multiplication_forms():
     assert (2 * f) == f * 2
     t = cf.table.variable("V")
     assert (t * f).terms[(0, 1)] == t
+
+
+def test_form_keys_are_strictly_increasing_positions_of_the_coframe():
+    # x2^x1 is neither x1^x2 nor its negative and x1^x1 is no monomial: each
+    # key is rejected, by name, rather than kept as a term of its own
+    cf = torus(2).coframe
+    one = cf.table.one()
+    x1x2 = cf.monomial_form(("x1", "x2"))
+    for mon in ((1, 0), (0, 0), (0, 4), (-1, 2)):
+        with pytest.raises(ValueError, match=re.escape(repr(mon))):
+            x1x2 + Form(cf, {mon: one})
+    assert Form(cf, {(0, 1): one}) == x1x2
 
 
 def test_coframe_validation_errors():
