@@ -6,13 +6,14 @@ loop on the monomial masks of ``exterior``, each term signed by its
 ``product_sign``, gives both the operators on forms and the Gaussian-integer
 rows (cleared over one common denominator) on which De Rham, Dolbeault,
 Bott-Chern and Aeppli cohomology is computed by exact elimination, with no
-tolerance anywhere.  Position tuples are built only for the report rows and
-``monomials_of_degree``/``monomials_of_bidegree``.
+tolerance anywhere.  Ranks read these rows keyed by monomial mask; slot
+indices appear only in report rows and ``class_of``, position tuples only in
+report rows and ``monomials_of_degree``/``monomials_of_bidegree``.
 
 A dimension is dim(slot) - rank(cocycle operators) - rank(boundaries), so the
 de Rham and Dolbeault Euler characteristics vanish by construction; rank d on
 degree k serves b_k and b_(k+1).  Validated models are immutable and memoize
-reports, integer ranks, operator images, integer d rows and slot masks;
+reports, ranks, mask-keyed operator images, integer d rows and slot masks;
 entries are written once under the GIL and idempotent: concurrent reads are safe.
 """
 
@@ -21,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 
 from . import linalg
-from .errors import (IntegrabilityError, ModelMismatch, NotClosed, UnknownVariable,
-                     UnspecializedParameters)
+from .errors import IntegrabilityError, ModelMismatch, NotClosed, UnspecializedParameters
 from .exterior import Form, _form, _positions, product_sign
 from .scalars import ZERO, GaussianRational, _integer_terms
 
@@ -52,11 +52,12 @@ class CohomologyReport:
     """Dimension and representative basis of one cohomology group.
 
     ``slot`` is a degree k for de Rham and a bidegree pair (p, q) otherwise.
-    The dimension comes from ranks.  The first read of ``rows`` runs
-    ``linalg.quotient_representatives`` on ``_inputs`` (monomial masks,
-    cocycle images, boundaries), drops them, gives each ``(s, row)`` as a tuple
-    ``(s, monomial, re, im, ...)`` and raises RuntimeError if their count is
-    not the dimension; ``basis`` divides each by s into a form.  Both memoize.
+    The dimension comes from ranks.  The first read of ``rows`` keys the
+    boundaries of ``_inputs`` (monomial masks, then mask-keyed cocycle images
+    and boundaries) by slot index, runs ``linalg.quotient_representatives``,
+    drops the inputs, gives each ``(s, row)`` as a tuple ``(s, monomial, re,
+    im, ...)`` and raises RuntimeError if their count is not the dimension;
+    ``basis`` divides each by s into a form.  Both memoize.
     """
 
     theory: str
@@ -70,8 +71,8 @@ class CohomologyReport:
         inputs = self.__dict__.get("_inputs")
         if inputs is None:  # a racing read built the rows, then dropped these
             return self.__dict__["rows"]
-        space, operators, boundaries = inputs
-        reps = linalg.quotient_representatives(operators, list(chain(*boundaries)))
+        space, images, boundaries = inputs
+        reps = linalg.quotient_representatives([images], _rekey(boundaries, space))
         rows = tuple([_report_row(s, row, space) for s, row in reps])
         if len(rows) != self.dimension:
             raise RuntimeError(f"{self.theory} slot {self.slot}: {len(rows)} "
@@ -138,23 +139,22 @@ class StructureModel:
         self.coframe = coframe
         diff = {}
         for name, form in (differentials or {}).items():
-            if name not in coframe.position:
-                raise UnknownVariable(name)
+            pos = coframe._position(name)
             if form.coframe is not coframe:
                 raise ModelMismatch(f"differential of {name} uses another coframe")
             if form:
-                diff[coframe.position[name]] = form
+                diff[pos] = form
         self._differentials = diff
         self._form_table = _leibniz_table(
             (pos, m, (c, -c)) for pos, f in diff.items() for m, c in f._masks.items())
         self._integer_table = None  # the differentials times D, on Gaussian integers
         self._d_row_cache = {}  # monomial mask -> D times its d, on Gaussian integers
-        self._image_cache = {}  # (source slot, step) -> images
-        self._ranks = {}  # ((source slot, step), ...) -> rank of their images
+        self._row_cache = {}  # (source slot, step) -> images, mask-keyed rows
+        self._ranks = {}  # (source slots, steps) -> rank of their images
         self._spaces = {}  # slot -> tuple of monomial masks
         self._reports = {}
         self._zero = coframe.zero_form()
-        self.validate()
+        self._check_integrable()
 
     def __repr__(self):
         return f"<StructureModel {self.coframe!r}>"
@@ -216,12 +216,17 @@ class StructureModel:
         Returns a diagnostics list on success; raises IntegrabilityError,
         carrying the offending generators and their residual forms, otherwise.
         """
+        self._check_integrable()
+        return [f"d({gen.name}) = {self.differential_of(gen.name)}"
+                for gen in self.coframe.generators]
+
+    def _check_integrable(self):
+        """The checks of ``validate``, building no text unless they fail."""
         cf = self.coframe
-        violations, diagnostics = [], []
-        for gen in cf.generators:
-            dg = self._differentials.get(cf.position[gen.name])
+        violations = []
+        for pos, gen in enumerate(cf.generators):
+            dg = self._differentials.get(pos)
             if dg is None:
-                diagnostics.append(f"d({gen.name}) = 0")
                 continue
             if dg.total_degree() != 2:
                 violations.append((gen.name, dg))
@@ -234,8 +239,6 @@ class StructureModel:
             dd = self.d(dg)
             if dd:
                 violations.append((gen.name, dd))
-                continue
-            diagnostics.append(f"d({gen.name}) = {dg}")
         for pos, mate in enumerate(cf.conjugate_position):
             if mate is None or not cf.generators[pos].holomorphic:
                 continue
@@ -247,7 +250,6 @@ class StructureModel:
             names = ", ".join(name for name, _ in violations)
             raise IntegrabilityError(
                 f"structure equations are not integrable at: {names}", violations)
-        return diagnostics
 
     # -- graded pieces of the algebra ------------------------------------------
 
@@ -306,29 +308,40 @@ class StructureModel:
             row = self._d_row_cache[mask] = _row(_derivation(mask, self._integer_table))
         return row
 
-    def _images(self, slot, step):
+    def _rows(self, slot, step):
         """The image of each monomial of a slot under the operator that adds
-        step, times D (D squared for (1, 1)), as Gaussian-integer rows
-        {index: (re, im)} over the moved slot; memoized.  The integer d terms
-        whose masks lie in the target slot are the bidegree projection; the
-        (1, 1) rows compose (0, 1) and (1, 0)."""
+        step, times D (D squared for (1, 1)), as Gaussian-integer rows {mask:
+        (re, im)}; memoized.  Step 1 gives the integer d rows as they are.  A
+        bidegree's d rows are split once, by the holomorphic popcount of each
+        target, into (1, 0) and (0, 1) parts, a part that is the whole row
+        being the row; d of the (0, 1) rows is del delbar, as delbar^2 = 0."""
         key = (slot, step)
-        cached = self._image_cache.get(key)
-        if cached is None:
-            if step == (1, 1):
-                outer = self._images((slot[0], slot[1] + 1), (1, 0))
-                cached = [_row((c, (a * x - b * y, a * y + b * x))
-                               for j, (a, b) in row.items()
-                               for c, (x, y) in outer[j].items()) if row else {}
-                          for row in self._images(slot, (0, 1))]
+        rows = self._row_cache.get(key)
+        if rows is None:
+            if step == 1:
+                rows = list(map(self._integer_d, self._space(slot)))
+            elif step == (1, 1):
+                d = self._integer_d
+                rows = [_row((m, (a * x - b * y, a * y + b * x))
+                             for c, (a, b) in row.items() for m, (x, y) in d(c).items())
+                        if row else row for row in self._rows(slot, (0, 1))]
             else:
-                target = self._space(_shift(slot, step))
-                index = {m: i for i, m in enumerate(target)}
-                rows = map(self._integer_d, self._space(slot))
-                cached = [{index[m]: xy for m, xy in row.items() if m in index}
-                          if row else {} for row in rows]
-            self._image_cache[key] = cached
-        return cached
+                holo, p = (1 << self.coframe.n_holomorphic) - 1, slot[0]
+                parts = [], []
+                for row in self._rows(slot, 1):
+                    up, down = {}, {}
+                    for m, v in row.items():
+                        (up if (m & holo).bit_count() > p else down)[m] = v
+                    parts[0].append(up if down else row)
+                    parts[1].append(down if up else row)
+                self._row_cache[slot, (1, 0)], self._row_cache[slot, (0, 1)] = parts
+                return parts[step[1]]
+            self._row_cache[key] = rows
+        return rows
+
+    def _images(self, slot, step):
+        """``_rows`` keyed by monomial index in the moved slot."""
+        return _rekey(self._rows(slot, step), self._space(_shift(slot, step)))
 
     # -- cohomology --------------------------------------------------------------
 
@@ -344,23 +357,19 @@ class StructureModel:
         if cached is not None:
             return cached
         cocycle, boundary = OPERATORS[theory]
-        cocycle = tuple((slot, step) for step in cocycle)
-        boundary = tuple((_shift(slot, step, -1), step) for step in boundary)
+        # ker del and ker delbar meet in ker d, d landing in two bidegrees
+        step = 1 if len(cocycle) > 1 else cocycle[0]
+        images = self._rows(slot, step)
+        sources = [_shift(slot, s, -1) for s in boundary]
+        boundaries = [row for k in zip(sources, boundary) for row in self._rows(*k)]
         space = self._space(slot)
-        dimension = len(space) - self._rank(cocycle, joint=True) - self._rank(boundary)
-        images = [[self._images(*k) for k in keys] for keys in (cocycle, boundary)]
+        keys = (slot, step), (*sources, *boundary)
+        for k, rows in zip(keys, (images, boundaries)):
+            if k not in self._ranks:  # a memoized rank serves every slot sharing it
+                self._ranks[k] = linalg.rank(rows)
+        dimension = len(space) - self._ranks[keys[0]] - self._ranks[keys[1]]
         return self._reports.setdefault(key, CohomologyReport(
-            theory, slot, dimension, self.coframe, (space, *images)))
-
-    def _rank(self, keys, joint=False):
-        """Rank of the images under keys, or of d for joint (del, delbar); memoized."""
-        rank = self._ranks.get(keys)
-        if rank is None:
-            vectors = (map(self._integer_d, self._space(keys[0][0]))
-                       if joint and len(keys) > 1 else
-                       [v for k in keys for v in self._images(*k)])
-            rank = self._ranks[keys] = linalg.rank(vectors)
-        return rank
+            theory, slot, dimension, self.coframe, (space, images, boundaries)))
 
     def betti(self, k):
         return self.cohomology(DE_RHAM, k).dimension
@@ -461,6 +470,12 @@ def _row(entries):
     if (0, 0) in out.values():
         return {c: xy for c, xy in out.items() if xy != (0, 0)}
     return out
+
+
+def _rekey(rows, space):
+    """Rows {mask: (re, im)} over the monomials of space, keyed by index."""
+    index = {m: i for i, m in enumerate(space)}
+    return [{index[m]: xy for m, xy in row.items()} if row else row for row in rows]
 
 
 def _report_row(s, row, space):

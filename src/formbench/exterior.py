@@ -108,7 +108,7 @@ class Coframe:
             self.volume_monomial = None
             self.volume_sign = 1
         else:
-            listed = [self.position[name] for name in volume]
+            listed = list(map(self._position, volume))
             if sorted(listed) != list(range(len(generators))):
                 raise ValueError("volume must name every generator exactly once")
             self.volume_monomial = tuple(range(len(generators)))
@@ -133,13 +133,16 @@ class Coframe:
     def unit(self, scalar=1):
         return _form(self, {0: self.table.coerce(scalar)})
 
-    def generator_form(self, name):
+    def _position(self, name):
         if name not in self.position:
             raise UnknownVariable(name)
-        return _form(self, {1 << self.position[name]: self.table.one()})
+        return self.position[name]
+
+    def generator_form(self, name):
+        return _form(self, {1 << self._position(name): self.table.one()})
 
     def monomial_form(self, names, coefficient=1):
-        sign, mask = _sorted(self.position[n] for n in names)
+        sign, mask = _sorted(map(self._position, names))
         if sign == 0:
             return self.zero_form()
         coeff = self.table.coerce(coefficient)

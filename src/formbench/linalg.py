@@ -4,16 +4,16 @@ Dense matrices are lists of row lists of GaussianRational; ``rref`` and
 ``solve`` work on them.  ``rank``, the size of the echelon of some rows, and
 ``quotient_representatives``, which takes each operator as its image columns
 and returns the kernel modulo the boundaries from one echelon, work on sparse
-Gaussian-integer rows ``{column: (re, im)}`` holding only the nonzero
-entries; ``nullspace`` is its case without boundaries.  The echelon is a dict
-{pivot: (s, row)}, each row pivoting on its least key.  A vector is reduced
-in key order: a heap holds the keys of the vector that are pivots, and each
-subtracted row can only bring in larger keys, so the cost of an insert is
-the rows it meets, not the size of the echelon.  A pivot is cleared by
-cross-multiplication and each echelon row is kept primitive with a
-positive-integer pivot, so no fraction is formed.  A returned row is a
-positive integer multiple of the vector the reduced row echelon form over
-Q(i) gives, which changes no kernel and no span; the caller divides once.
+Gaussian-integer rows ``{column: (re, im)}`` holding only the nonzero entries;
+``nullspace`` is its case without boundaries.  The echelon is a dict {pivot:
+(s, row)}, each row pivoting on its least key.  A vector is reduced in key
+order: a heap holds the keys of the vector that are pivots, and each
+subtracted row can only bring in larger keys, so an insert costs the rows it
+meets, not the size of the echelon, and one that meets none is not copied.  A
+pivot is cleared by cross-multiplication and each echelon row is kept
+primitive with a positive-integer pivot, so no fraction is formed.  A returned
+row is a positive integer multiple of the vector the reduced row echelon form
+over Q(i) gives, which changes no kernel and no span; the caller divides once.
 There is no numerical tolerance anywhere in the package.
 """
 
@@ -55,10 +55,10 @@ def rref(matrix):
     return rows, pivots
 
 
-def _eliminate(v, echelon):
-    """A fresh copy of v with every pivot of the echelon {pivot: (s, row)}
-    cleared, each by the cross-multiplication s*v - v[pivot]*row; v itself,
-    which may be a memoized operator image, is left alone.
+def _eliminate(v, heap, echelon):
+    """A fresh copy of v with every pivot of the echelon {pivot: (s, row)},
+    listed in heap, cleared by the cross-multiplication s*v - v[pivot]*row;
+    v itself, which may be a memoized operator image, is left alone.
 
     A row's pivot is its least key, so subtracting it brings in only larger
     keys: clearing the pivots of v in increasing key order, from a heap that
@@ -67,15 +67,17 @@ def _eliminate(v, echelon):
     of the remainder over Q(i), which is unique.
     """
     v = dict(v)
-    heap = [c for c in v if c in echelon]
     heapify(heap)
     while heap:
         pivot = heappop(heap)
         lead = v.get(pivot)
         if lead is None:  # cancelled, or a key pushed twice
             continue
-        a, b = lead
         s, row = echelon[pivot]
+        if len(row) == 1:  # the unit row {pivot: 1} clears its pivot alone
+            del v[pivot]
+            continue
+        a, b = lead
         if s != 1:
             v = {c: (s * x, s * y) for c, (x, y) in v.items()}
         for c, (x, y) in row.items():
@@ -115,7 +117,11 @@ def _primitive(v):
 
 def _insert(vec, echelon):
     """The pivot of vec's remainder, now in the echelon; -1 if it is 0."""
-    v = _eliminate(vec, echelon)
+    heap = []
+    for c in vec:  # a loop: most vectors are too short to pay for a comprehension
+        if c in echelon:
+            heap.append(c)
+    v = _eliminate(vec, heap, echelon) if heap else vec
     if not v:
         return -1
     pivot, s, row = _primitive(v)
@@ -158,12 +164,13 @@ def quotient_representatives(operators, boundaries):
     span(boundaries), as Gaussian-integer rows from one echelon.
 
     ``operators[j][i]`` is the image {r: (re, im)} of basis vector i under
-    operator j.  The boundaries must lie in the common kernel, as they do
-    when d^2, delbar^2 and the deldelbar compositions vanish.  The nonzero
-    ones go in first; then each basis vector i, in order, goes in as 1 at i
-    plus its images under the keys ~(r * len(operators) + j), which sort
-    below every basis index and so pivot first; with no images and no pivot
-    at i, it is its own remainder and skips the elimination.  A remainder whose images cancel is a
+    operator j, r any nonnegative int key, such as a target index or mask.
+    The boundaries must lie in the common kernel, as they do when d^2,
+    delbar^2 and the deldelbar compositions vanish.  The nonzero ones go in
+    first; then each basis vector i, in order, goes in as 1 at i plus its
+    images under the keys ~(r * len(operators) + j), which sort below every
+    basis index and so pivot first: the representatives depend on the basis
+    order and not on the image keys.  A remainder whose images cancel is a
     new class, returned as (s, row): primitive, with the positive integer s
     at its first nonzero column, so that row / s is the echelon-form
     representative.
@@ -174,13 +181,10 @@ def quotient_representatives(operators, boundaries):
         _insert(b, echelon)
     reps = []
     for i, images in enumerate(zip(*operators)):
-        if not any(images) and i not in echelon:
-            # {i: 1} meets no pivot, so it is its own remainder
-            echelon[i] = unit = (1, {i: (1, 0)})
-            reps.append(unit)
-            continue
-        vec = {~(r * width + j): xy
-               for j, image in enumerate(images) for r, xy in image.items()}
+        vec = {}
+        for j, image in enumerate(images):
+            for r, xy in image.items():
+                vec[~(r * width + j)] = xy
         vec[i] = (1, 0)
         pivot = _insert(vec, echelon)
         if pivot >= 0:

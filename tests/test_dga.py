@@ -663,8 +663,8 @@ def test_reports_match_dense_reference_route():
 
 def test_tables_never_reach_dense_elimination(monkeypatch):
     # the dimensions come from integer ranks, one elimination per shared
-    # rank; the representatives, one quotient_representatives per slot, come
-    # only when the rows are read
+    # rank, on the mask-keyed rows; the representatives, one
+    # quotient_representatives per slot, come only when the rows are read
     def dense_elimination(*args):
         raise RuntimeError("a cohomology table reached dense elimination")
 
@@ -681,7 +681,7 @@ def test_tables_never_reach_dense_elimination(monkeypatch):
 
         return wrapper
 
-    for name in ("nullspace", "quotient_representatives"):
+    for name in ("nullspace", "quotient_representatives", "_eliminate"):
         monkeypatch.setattr(linalg, name, counted(name))
     rank = linalg.rank
 
@@ -692,15 +692,22 @@ def test_tables_never_reach_dense_elimination(monkeypatch):
         return rank(vectors)
 
     monkeypatch.setattr(linalg, "rank", counted_rank)
+
+    def index_keyed(*args):
+        raise RuntimeError("a cohomology table built an index-keyed image")
+
     model = nakamura(Fraction(1, 2)).model
+    monkeypatch.setattr(model, "_images", index_keyed)
     reports = [model.cohomology(theory, slot) for theory in THEORIES
                for slot, _ in _slots_and_spaces(model, theory)]
     dimensions = sum(report.dimension for report in reports)
     # one rank per distinct set of images serves the 2 x 84 cocycle and
-    # boundary counts; 72 of them eliminate something
+    # boundary counts; 72 of them have a nonzero row, and of their 520 rows
+    # only the 80 that meet a pivot are eliminated
     ranks = {"rank": 124, "nonzero rank": 72}
-    assert calls == ranks and len(reports) == 84
+    assert calls == {**ranks, "_eliminate": 80} and len(reports) == 84
     assert sum(len(report.rows) for report in reports) == dimensions > 0
+    del calls["_eliminate"]  # the rows eliminate too
     assert calls == {**ranks, "quotient_representatives": len(reports)}
 
 
@@ -860,16 +867,18 @@ def test_reports_compare_by_rows():
 
 
 def test_full_tables_leave_the_image_memo_as_built():
-    # the elimination must not write into the memoized image rows it reads:
-    # a boundary row overwritten there gives a wrong basis of the right size
+    # neither the ranks nor the rows may write into the memoized rows they
+    # read: a boundary row overwritten there gives a wrong basis of the right
+    # size.  The memo sizes are pinned so that the comparisons are not empty
     model = bench_shape_nilpotent(random.Random(41))
     for theory in THEORIES:
         for slot, _ in _slots_and_spaces(model, theory):
-            model.cohomology(theory, slot)
+            model.cohomology(theory, slot).rows
+    assert (len(model._row_cache), len(model._d_row_cache)) == (152, 256)
     fresh = bench_shape_nilpotent(random.Random(41))
-    assert model._image_cache == {
-        (slot, step): fresh._images(slot, step)
-        for slot, step in model._image_cache}
+    assert model._row_cache == {key: fresh._rows(*key) for key in model._row_cache}
+    assert model._d_row_cache == {
+        mask: fresh._integer_d(mask) for mask in model._d_row_cache}
 
 
 def bench_generators():
@@ -913,6 +922,33 @@ def test_key_ordered_elimination_matches_the_scan_on_every_slot():
     assert slots == 15 * (9 + 3 * 25) + (5 + 3 * 9)
 
 
+def test_rows_do_not_depend_on_the_image_keys():
+    # the reports eliminate cocycle images keyed by target mask (and, for
+    # Bott-Chern, d in place of del and delbar); the image keys sort below
+    # every basis index, so the rows must equal the representatives over the
+    # index-keyed images of every cocycle operator
+    models = [*pool_models(120), torus(2), kodaira(), torus(4), nakamura(0).model,
+              nakamura(Fraction(1, 2)).model, chain_nilmanifold(5),
+              chain_nilmanifold(6)]
+    slots = 0
+    for model in models:
+        for theory in THEORIES:
+            for slot, _ in _slots_and_spaces(model, theory):
+                rows = model.cohomology(theory, slot).rows
+                space = model._space(slot)
+                operators = [model._images(slot, step)
+                             for step in OPERATORS[theory][0]]
+                reps = linalg.quotient_representatives(
+                    operators, model._boundary_vectors(theory, slot))
+                index = {m: i for i, m in enumerate(space)}
+                assert exact_rows(reps) == exact_rows(
+                    (s, {index[mask_of(mon)]: (x, y)
+                         for mon, x, y in zip(row[::3], row[1::3], row[2::3])})
+                    for s, *row in rows), (model, theory, slot)
+                slots += 1
+    assert slots == 123 * 84 + 2 * (5 + 3 * 9) + (11 + 3 * 36) + (13 + 3 * 49)
+
+
 def test_space_memo_hands_out_tuples():
     # a tuple of the slot's monomial masks, in the order of the position
     # tuples of monomials_of_degree and monomials_of_bidegree
@@ -940,13 +976,18 @@ def _on(model, terms):
 
 
 def test_image_memo_leaves_classes_and_images_unchanged():
+    # the tables fill only the mask-keyed row memos and class_of keys the
+    # boundaries by slot index without memoizing them; no read writes the
+    # memos, and they equal what a fresh model builds
     rng = random.Random(67)
     warm = nakamura(Fraction(1, 2)).model
     for theory in THEORIES:
         for slot, _ in _slots_and_spaces(warm, theory):
             warm.cohomology(theory, slot)
-    after_tables = {key: [dict(v) for v in images]
-                    for key, images in warm._image_cache.items()}
+    assert (len(warm._row_cache), len(warm._d_row_cache)) == (152, 256)
+    after_tables = {key: [dict(v) for v in rows]
+                    for key, rows in warm._row_cache.items()}
+    d_rows = {mask: dict(row) for mask, row in warm._d_row_cache.items()}
     queries = 0
     for theory in THEORIES:
         for slot, _ in _slots_and_spaces(warm, theory):
@@ -964,11 +1005,11 @@ def test_image_memo_leaves_classes_and_images_unchanged():
             assert warm.class_of(form, theory, slot) == expected, (theory, slot)
             queries += 1
     assert queries == 84
-    assert warm._image_cache == after_tables
+    assert warm._row_cache == after_tables and warm._d_row_cache == d_rows
     fresh = nakamura(Fraction(1, 2)).model
-    assert warm._image_cache == {
-        (slot, step): fresh._images(slot, step)
-        for slot, step in warm._image_cache}
+    assert warm._row_cache == {key: fresh._rows(*key) for key in warm._row_cache}
+    assert warm._d_row_cache == {
+        mask: fresh._integer_d(mask) for mask in warm._d_row_cache}
 
 
 def chain_nilmanifold(n):
@@ -1261,7 +1302,9 @@ def test_concurrent_cohomology_readers():
     finally:
         sys.setswitchinterval(interval)
     assert all(result == expected for result in results)
-    assert model._image_cache == serial._image_cache
+    assert (len(serial._row_cache), len(serial._d_row_cache)) == (68, 16)
+    assert model._row_cache == serial._row_cache
+    assert model._d_row_cache == serial._d_row_cache
 
 
 def test_unknown_generator_in_differentials():

@@ -245,6 +245,22 @@ def test_coframe_validation_errors():
         VariableTable([("t", "tb"), ("t", "tc")])
 
 
+def test_unknown_generator_names_raise_unknown_variable():
+    # every constructor that takes generator names names the unknown one
+    from formbench.exterior import Coframe, Generator
+    from formbench.scalars import VariableTable
+
+    cf = torus(2).coframe
+    calls = [lambda: cf.generator_form("nope"),
+             lambda: cf.monomial_form(("x1", "nope")),
+             lambda: cf.form({("nope",): 1}),
+             lambda: Coframe([Generator("a", (1, 0)), Generator("ab", (0, 1))],
+                             VariableTable([("V", "V")]), volume=["a", "nope"])]
+    for call in calls:
+        with pytest.raises(UnknownVariable, match="nope"):
+            call()
+
+
 def test_integrate_requires_volume():
     from formbench.exterior import Coframe, Generator
     from formbench.scalars import VariableTable

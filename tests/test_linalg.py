@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 from formbench import linalg
 from formbench.scalars import GaussianRational
@@ -209,9 +210,26 @@ def test_sparse_elimination_matches_dense_reference():
         )
 
 
-def test_rank_matches_the_dense_reference():
+def disjoint_matrix(rng, rows, cols):
+    """Gaussian-integer rows on disjoint columns, so that no row meets the
+    pivot of another, each scaled by a Gaussian prime, 6 or -1: leads that
+    are negative, not real or not 1, and parts that share a factor."""
+    matrix = [[ZERO] * cols for _ in range(rows)]
+    for c in range(cols):
+        value = ZERO
+        while not value:
+            value = GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4))
+        matrix[rng.randrange(rows)][c] = value
+    factors = GAUSSIAN_PRIMES + (GaussianRational(6), GaussianRational(-1))
+    return [[factor * x for x in row]
+            for row, factor in zip(matrix, rng.choices(factors, k=rows))]
+
+
+def test_rank_matches_the_dense_reference(monkeypatch):
     # seeded Gaussian-integer rows with zero rows, rows repeated up to a
-    # factor and combinations of earlier rows, against the dense rref
+    # factor, combinations of earlier rows and rows that meet no pivot,
+    # against the dense rref; the rows are read-only views, as the memoized
+    # operator images are never to be written
     rng = random.Random(37)
     cases = [[], [[]], [[ZERO] * 3, [ZERO] * 3]]
     for _ in range(120):
@@ -221,14 +239,23 @@ def test_rank_matches_the_dense_reference():
         cases.append(hard_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)))
     for n in (1, 5, 9):
         cases.append(full_rank_matrix(rng, n, 0.3))
+    disjoint = [disjoint_matrix(rng, rng.randint(1, 6), rng.randint(1, 12))
+                for _ in range(30)]
+    eliminations = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda *args: eliminations.append(1) or eliminate(*args))
     deficient = 0
-    for matrix in cases:
-        rows = [integer_row(row) for row in matrix]
+    for k, matrix in enumerate(cases + disjoint):
+        rows = [MappingProxyType(integer_row(row)) for row in matrix]
         copies = [dict(row) for row in rows]
         expected = rank(matrix)
+        del eliminations[:]
         assert linalg.rank(rows) == expected, matrix
         assert rows == copies
         deficient += expected < len(matrix)
+        if k >= len(cases):  # rows that meet no pivot go in with no elimination
+            assert not eliminations and expected == sum(map(any, matrix))
     assert deficient > 50
 
 
