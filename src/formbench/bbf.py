@@ -425,9 +425,11 @@ def gram_discrepancies(reference, candidate):
     entries instead of guessing a sign convention.  Zero patterns are
     compared first; each pair of nonzero numerators a/p and b/q is then
     compared as a*y == b*x, with x/y = p/q cofactors found once per call by
-    one exact division of the denominators, so it costs at most one
-    product when one denominator divides the other (none when they are
-    equal) and two otherwise."""
+    one exact division of the denominators.  A unit cofactor (both when the
+    denominators are equal) multiplies nothing and any other multiplies each
+    distinct numerator object once: one product per side at most when one
+    denominator divides the other, and one object at (i, j) and (j, i)
+    costs one product for both."""
     if reference.size != candidate.size:
         raise ValueError("Gram matrices have different sizes")
     return list(_differing(reference, candidate))
@@ -444,12 +446,20 @@ def _differing(reference, candidate):
         x, y = one, _exact_quotient(q, p)  # q = p*y
         if y is None:
             x, y = p, q
-    # a unit cofactor multiplies nothing
-    scale_a, scale_b = y != one, x != one
+    # a unit cofactor multiplies nothing, any other each distinct numerator
+    # object once (the memo holds the object, so its id is not reused)
+    scale_a, scale_b, memo = y != one, x != one, {}
+
+    def scaled(value, factor):
+        key = id(value), id(factor)
+        if key not in memo:
+            memo[key] = value, value * factor
+        return memo[key][1]
+
     for i, rows in enumerate(zip(reference.numerators, candidate.numerators)):
         for j, (a, b) in enumerate(zip(*rows)):
             if a and b:
-                if (a * y if scale_a else a) != (b * x if scale_b else b):
+                if (scaled(a, y) if scale_a else a) != (scaled(b, x) if scale_b else b):
                     yield i, j
             elif a or b:
                 yield i, j
@@ -459,28 +469,31 @@ def normalize_gram(space, gram):
     """Impose the normalization V = 1/(mu*mub) on every entry.
 
     With P = mu*mub and k the largest V-degree of any numerator or of the
-    denominator, each of them, sum_j a_j V^j, becomes sum_j a_j P^(k-j); a
-    part of V-degree k costs no product and zero numerators pass through.
-    No content is removed, so an entry whose numerator has V-degree below k
-    renders as an equal but unreduced fraction; the oracle on a basis with
-    V-free coefficients is V-homogeneous and has no such entry."""
+    denominator, each of them, sum_j a_j V^j, becomes sum_j a_j P^(k-j),
+    once per distinct object; one of V-degree k only drops V (no product,
+    no second reduction) and zero numerators pass through.  No content is
+    removed, so an entry whose numerator has V-degree below k renders as an
+    equal but unreduced fraction; the oracle on a basis with V-free
+    coefficients is V-homogeneous and has no such entry."""
     name = space.model.coframe.volume_variable
-    splits = [[a.coefficients_in(name) if a else {} for a in row]
-              for row in gram.numerators]
+    # one split per distinct nonzero numerator object; the gram holds them
+    distinct = {id(a): a for a in chain.from_iterable(gram.numerators) if a}
+    splits = {key: a.coefficients_in(name) for key, a in distinct.items()}
     den = gram.denominator.coefficients_in(name)
-    k = max(chain(den, *chain.from_iterable(splits)))
+    k = max(chain(den, *splits.values()))
     powers = [space.model.table.one(), space.mu * space.mu.conjugate()]
     while len(powers) <= k:
         powers.append(powers[-1] * powers[1])
 
     def cleared(split):
+        if len(split) == 1 and k in split:  # V-homogeneous of degree k
+            return split[k]
         return reduce(add, (c * powers[k - j] if j < k else c
                             for j, c in split.items()))
 
-    numerators = tuple(
-        tuple(cleared(split) if split else a for a, split in zip(row, split_row))
-        for row, split_row in zip(gram.numerators, splits)
-    )
+    done = {key: cleared(split) for key, split in splits.items()}
+    numerators = tuple(tuple([done.get(id(a), a) for a in row])
+                       for row in gram.numerators)
     return GramMatrix(gram.basis, numerators, cleared(den))
 
 

@@ -63,6 +63,23 @@ def kodaira_sigma(model):
     )
 
 
+def chain_nilmanifold(n):
+    """The nilpotent model d phi_k = -phi_1 ^ phi_(k-1) for k >= 3 on
+    phi_1..phi_n and the conjugate equations on phib_1..phib_n; n = 3 is
+    the Iwasawa manifold, d phi3 = -phi1 ^ phi2."""
+    holo = [Generator(f"phi{i}", (1, 0)) for i in range(1, n + 1)]
+    anti = [Generator(f"phib{i}", (0, 1)) for i in range(1, n + 1)]
+    cf = Coframe(holo + anti, VariableTable([("V", "V")]),
+                 conjugates={f"phi{i}": f"phib{i}" for i in range(1, n + 1)},
+                 volume=[g.name for g in holo + anti])
+    differentials = {}
+    for k in range(3, n + 1):
+        dphi = cf.monomial_form(("phi1", f"phi{k - 1}"), -1)
+        differentials[f"phi{k}"] = dphi
+        differentials[f"phib{k}"] = dphi.conjugate()
+    return StructureModel(cf, differentials)
+
+
 class NakamuraFamily(NamedTuple):
     model: StructureModel
     sigma: object

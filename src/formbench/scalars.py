@@ -260,8 +260,9 @@ class PolyScalar:
     maps exponent tuples to (re, im) integer pairs, none of them (0, 0), and
     ``den`` is a positive integer with gcd(den, every part) = 1.  The form
     is canonical, so equality compares (den, ints).  ``terms`` is the
-    {exponents: GaussianRational} view, built on each read; the constructor
-    takes such a map.
+    {exponents: GaussianRational} view, built on each read and taken by the
+    constructor.  An int, Fraction or one-term constant factor scales the
+    numerators without adding exponents.
     """
 
     __slots__ = ("table", "den", "ints")
@@ -319,9 +320,16 @@ class PolyScalar:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # bool included
+            return _scaled(self, other.numerator, 0, other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # a one-term constant side only scales the other side's coefficients
+        if len(other.ints) == 1 and not any(e := next(iter(other.ints))):
+            return _scaled(self, *other.ints[e], other.den)
+        if len(self.ints) == 1 and not any(e := next(iter(self.ints))):
+            return _scaled(other, *self.ints[e], self.den)
         right = other.ints.items()
         sums = {}
         for e1, (a, b) in self.ints.items():
@@ -376,7 +384,8 @@ class PolyScalar:
         split = {}
         for e, c in self.ints.items():
             split.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
-        return {k: _reduced(self.table, self.den, t) for k, t in split.items()}
+        make = _poly if len(split) == 1 else _reduced  # one part stays canonical
+        return {k: make(self.table, self.den, t) for k, t in split.items()}
 
     # -- involution and evaluation ------------------------------------------
 
@@ -526,9 +535,10 @@ def _poly(table, den, ints):
 
 
 def _reduced(table, den, ints):
-    """The PolyScalar ints / den in canonical form: (0, 0) entries dropped
-    and the gcd of den and every part divided out."""
-    ints = {e: p for e, p in ints.items() if p != (0, 0)}
+    """ints / den as a canonical PolyScalar, which may keep the ints dict:
+    (0, 0) entries dropped and the gcd of den and every part divided out."""
+    if (0, 0) in ints.values():
+        ints = {e: p for e, p in ints.items() if p != (0, 0)}
     g = den
     for re, im in ints.values():
         g = gcd(g, re, im)
@@ -536,6 +546,12 @@ def _reduced(table, den, ints):
             return _poly(table, den, ints)
     return _poly(table, den // g,
                  {e: (re // g, im // g) for e, (re, im) in ints.items()})
+
+
+def _scaled(poly, c, d, den):
+    """poly * (c + id) / den in canonical form, for den > 0."""
+    return _reduced(poly.table, poly.den * den, {
+        e: (a * c - b * d, a * d + b * c) for e, (a, b) in poly.ints.items()})
 
 
 def _exact_quotient(p, q):

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import bbf
-from .dga import DE_RHAM, DOLBEAULT
+from .dga import AEPPLI, BOTT_CHERN, DE_RHAM, DOLBEAULT
 from .errors import UnknownScenario
 from .grass import pluecker_curve
-from .models import kodaira, kodaira_sigma, nakamura, torus, torus4_deformed
+from .models import (chain_nilmanifold, kodaira, kodaira_sigma, nakamura, torus,
+                     torus4_deformed)
 from .scalars import GaussianRational, ScalarFraction, VariableTable
 
 
@@ -334,6 +335,26 @@ def _scenario_nakamura():
     ]
 
 
+def _scenario_iwasawa():
+    model = chain_nilmanifold(3)
+
+    def table(theory):
+        return [[model.cohomology(theory, (p, q)).dimension for q in range(4)]
+                for p in range(4)]
+
+    source = "Angella, J. Geom. Anal. 23 (2013)"
+    return [
+        Step("Betti numbers b_0..b_6", [model.betti(k) for k in range(7)],
+             [1, 4, 8, 10, 8, 4, 1], "de Rham cohomology of the invariant forms"),
+        Step("Bott-Chern h^{p,q}, rows p = 0..3", table(BOTT_CHERN),
+             [[1, 2, 3, 1], [2, 4, 6, 2], [3, 6, 8, 3], [1, 2, 3, 1]], source),
+        Step("Aeppli h^{p,q}, rows p = 0..3", table(AEPPLI),
+             [[1, 3, 2, 1], [3, 8, 6, 3], [2, 6, 4, 2], [1, 3, 2, 1]], source),
+        Step("Dolbeault h^{p,q}, rows p = 0..3", table(DOLBEAULT),
+             [[1, 2, 2, 1], [3, 6, 6, 3], [3, 6, 6, 3], [1, 2, 2, 1]], source),
+    ]
+
+
 def _scenario_k3_product():
     table = VariableTable(
         [("q1", None), ("q2", None), ("p1s", None), ("p1sb", None),
@@ -427,6 +448,8 @@ _SCENARIOS = {
                    _scenario_k3_product),
     "grass-degree": ("Degrees of the bivector embedding along Schubert lines",
                      _scenario_grass_degree),
+    "iwasawa": ("Betti numbers and Bott-Chern, Aeppli and Dolbeault tables of "
+                "the Iwasawa manifold", _scenario_iwasawa),
 }
 
 

@@ -75,6 +75,17 @@ def schoolbook_sum(left, right):
     return PolyScalar(left.table, terms)
 
 
+def schoolbook_coefficients(poly, name):
+    """{power: coefficient polynomial} of poly in one variable, built term by
+    term in Q(i) through the PolyScalar constructor: an independent route for
+    PolyScalar.coefficients_in."""
+    i = poly.table.index(name)
+    split = {}
+    for e, c in poly.terms.items():
+        split.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return {k: PolyScalar(poly.table, terms) for k, terms in split.items()}
+
+
 def schoolbook_substitute(poly, values):
     """A polynomial with the variables of ``values`` set to exact numbers,
     term by term in Q(i); no conjugate value is implied."""

@@ -3,7 +3,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -984,7 +984,23 @@ def test_normalize_gram_clears_a_shared_denominator_once(monkeypatch):
         space.mu * space.mu.conjugate()) ** 2
 
 
-def test_gram_check_makes_one_product_per_entry(monkeypatch):
+def test_normalize_gram_splits_each_distinct_numerator_once(monkeypatch):
+    # the oracle stores one object at (i, j) and (j, i) wherever a single
+    # pairing term reaches both; normalize_gram splits and clears it once,
+    # and the normalized matrix shares an object exactly where the oracle does
+    space, oracle = formal_pair_oracle_gram()
+    nonzero = [a for row in oracle.numerators for a in row if a]
+    distinct = {id(a) for a in nonzero}
+    assert (len(nonzero), len(distinct)) == (216, 144)
+    splits = _counting(monkeypatch, PolyScalar, ["coefficients_in"])
+    normalized = normalize_gram(space, oracle)
+    assert splits == [len(distinct) + 1]  # and the denominator
+    rows, done = oracle.numerators, normalized.numerators
+    for i, j in combinations(range(oracle.size), 2):
+        assert (rows[i][j] is rows[j][i]) == (done[i][j] is done[j][i])
+
+
+def test_gram_check_makes_one_product_per_distinct_numerator(monkeypatch):
     space, oracle = formal_pair_oracle_gram()
     normalized = normalize_gram(space, oracle)
     quotient = space.mu * space.mu.conjugate() * Fraction(1, 2)
@@ -996,20 +1012,99 @@ def test_gram_check_makes_one_product_per_entry(monkeypatch):
     products[0] = 0
     # the closed form's 2*mu*mub divides (mu*mub)^2: one product per step
     # of the division, one per term of the quotient, then one product by
-    # the quotient per nonzero entry
+    # the quotient per distinct nonzero numerator object; the closed form
+    # stores one object for (i, j) and (j, i)
     assert normalized.matches(closed)
-    nonzero = sum(bool(a) for row in normalized.numerators for a in row)
-    assert products == [len(quotient.ints) + nonzero] == [4 + 216]
+    nonzero = [a for row in closed.numerators for a in row if a]
+    distinct = {id(a) for a in nonzero}
+    assert (len(nonzero), len(distinct)) == (216, 108)
+    assert products == [len(quotient.ints) + len(distinct)] == [4 + 108]
+
+
+def _shared_pair(gram):
+    """The first (i, j), i < j, whose nonzero numerator object is also the
+    one at (j, i)."""
+    rows = gram.numerators
+    return next((i, j) for i, j in combinations(range(gram.size), 2)
+                if rows[i][j] and rows[i][j] is rows[j][i])
+
+
+def _replaced(gram, positions, value):
+    """gram with value at each of positions (one object for all of them)."""
+    rows = [list(row) for row in gram.numerators]
+    for i, j in positions:
+        rows[i][j] = value
+    return GramMatrix(gram.basis, tuple(map(tuple, rows)), gram.denominator)
+
+
+def _rescaled_keeping_shares(gram, factor):
+    """gram with each distinct numerator object times factor, made once, so
+    the copy shares objects where gram does, over denominator * factor."""
+    made = {}
+    for a in chain.from_iterable(gram.numerators):
+        if id(a) not in made:
+            made[id(a)] = a * factor
+    rows = tuple(tuple(made[id(a)] for a in row) for row in gram.numerators)
+    return GramMatrix(gram.basis, rows, gram.denominator * factor)
+
+
+def test_gram_discrepancies_reads_shared_numerators_once_each():
+    # the cofactor products are memoized per numerator object; a position
+    # whose partner shares that object is still compared on its own
+    space, oracle = formal_pair_oracle_gram()
+    normalized = normalize_gram(space, oracle)
+    closed = gram_matrix(space, oracle.basis, mode="closed_form")
+    i, j = _shared_pair(closed)
+    shared = closed.numerators[i][j]
+    table = space.model.table
+    l, lb = table.variable("l"), table.variable("lb")
+    left = _rescaled_keeping_shares(closed, l + 1)
+    assert left.numerators[i][j] is left.numerators[j][i]
+    for position in ((i, j), (j, i)):
+        # the reference differs at one of the two positions: it is named
+        # whether the shared candidate object was first read there or not
+        broken = _replaced(normalized, [position], normalized.numerators[i][j] * 3)
+        assert gram_discrepancies(broken, closed) == [position]
+        assert not broken.matches(closed)
+        # the same with the reference sharing: closed as the reference, so
+        # its side carries the cofactor
+        assert gram_discrepancies(closed, broken) == [position]
+        # both sides scaled by unrelated factors and both sharing objects
+        other = _rescaled_keeping_shares(
+            _replaced(closed, [position], shared * 5), lb + 2)
+        assert gram_discrepancies(left, other) == [position]
+        assert not left.matches(other)
+    # one wrong object shared by both positions: both are named
+    both = _replaced(closed, [(i, j), (j, i)], shared * 7)
+    assert gram_discrepancies(normalized, both) == [(i, j), (j, i)]
+    assert gram_discrepancies(both, normalized) == [(i, j), (j, i)]
+    assert gram_discrepancies(left, _rescaled_keeping_shares(both, lb + 2)) == [
+        (i, j), (j, i)]
+    assert gram_discrepancies(normalized, closed) == []
+    # the same objects on both sides, over denominators that do not divide
+    # each other: each side multiplies them by its own cofactor
+    apart = [GramMatrix(closed.basis, closed.numerators, closed.denominator * f)
+             for f in (l + 1, lb + 2)]
+    assert gram_discrepancies(*apart) == [
+        (r, c) for r, row in enumerate(closed.numerators)
+        for c, a in enumerate(row) if a]
 
 
 def test_closed_form_memo_is_freed_on_return():
-    # the per-call product memos form no reference cycle, so a gram op
-    # leaves nothing for the cyclic collector
+    # the per-call product memos of the closed form, of normalize_gram and of
+    # the comparison form no reference cycle, so a gram op leaves nothing
+    # for the cyclic collector, also when matches stops at a difference
     space, oracle = formal_pair_oracle_gram()
     gc.collect()
     gc.disable()
     try:
-        gram_matrix(space, oracle.basis, mode="closed_form")
+        normalized = normalize_gram(space, oracle)
+        closed = gram_matrix(space, oracle.basis, mode="closed_form")
+        assert normalized.matches(closed)
+        i, j = _shared_pair(closed)
+        broken = _replaced(closed, [(i, j)], closed.numerators[i][j] * 3)
+        assert not normalized.matches(broken)
+        assert gram_discrepancies(broken, normalized) == [(i, j)]
         assert gc.collect() == 0
     finally:
         gc.enable()

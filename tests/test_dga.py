@@ -32,7 +32,8 @@ from formbench.errors import (
     UnspecializedParameters,
 )
 from formbench.exterior import Coframe, Form, Generator
-from formbench.models import kodaira, model_from_dict, nakamura, torus
+from formbench.models import (chain_nilmanifold, kodaira, model_from_dict, nakamura,
+                               torus)
 from formbench.scalars import (ZERO, GaussianRational, PolyScalar, VariableTable,
                                join_terms)
 from support import (
@@ -1010,22 +1011,6 @@ def test_image_memo_leaves_classes_and_images_unchanged():
     assert warm._row_cache == {key: fresh._rows(*key) for key in warm._row_cache}
     assert warm._d_row_cache == {
         mask: fresh._integer_d(mask) for mask in warm._d_row_cache}
-
-
-def chain_nilmanifold(n):
-    """The nilpotent model d phi_k = -phi_1 ^ phi_(k-1) for k >= 3 on
-    phi_1..phi_n and the conjugate equations on phib_1..phib_n."""
-    holo = [Generator(f"phi{i}", (1, 0)) for i in range(1, n + 1)]
-    anti = [Generator(f"phib{i}", (0, 1)) for i in range(1, n + 1)]
-    cf = Coframe(holo + anti, VariableTable([("V", "V")]),
-                 conjugates={f"phi{i}": f"phib{i}" for i in range(1, n + 1)},
-                 volume=[g.name for g in holo + anti])
-    differentials = {}
-    for k in range(3, n + 1):
-        dphi = cf.monomial_form(("phi1", f"phi{k - 1}"), -1)
-        differentials[f"phi{k}"] = dphi
-        differentials[f"phib{k}"] = dphi.conjugate()
-    return StructureModel(cf, differentials)
 
 
 def chain_betti_numbers(n):

@@ -20,6 +20,7 @@ from support import (
     nonzero_gaussian,
     random_poly,
     reference_content_removed,
+    schoolbook_coefficients,
     schoolbook_product,
     schoolbook_substitute,
     schoolbook_sum,
@@ -307,6 +308,24 @@ def product_cases(rng, table):
         yield p + q, p - q
 
 
+def to_number(value):
+    """A GaussianRational as a sympy number."""
+    import sympy
+
+    return sympy.Rational(value.re.numerator, value.re.denominator) + (
+        sympy.I * sympy.Rational(value.im.numerator, value.im.denominator))
+
+
+def to_sympy(poly):
+    """A PolyScalar as a sympy Poly over QQ_I in the table's names, term by
+    term."""
+    import sympy
+
+    terms = {e: to_number(c) for e, c in poly.terms.items()}
+    return sympy.Poly.from_dict(terms, *sympy.symbols(poly.table.names),
+                                domain=sympy.QQ_I)
+
+
 def test_product_matches_schoolbook_and_sympy_routes():
     # sums, differences and substitutions too, term by term in Q(i) and in
     # sympy's QQ_I
@@ -316,15 +335,6 @@ def test_product_matches_schoolbook_and_sympy_routes():
     table = small_table()
     symbols = sympy.symbols(table.names)
     t1, tb1, v = (symbols[table.index(n)] for n in ("t1", "tb1", "V"))
-
-    def to_number(value):
-        return sympy.Rational(value.re.numerator, value.re.denominator) + (
-            sympy.I * sympy.Rational(value.im.numerator, value.im.denominator))
-
-    def to_sympy(poly):
-        terms = {e: to_number(c) for e, c in poly.terms.items()}
-        return sympy.Poly.from_dict(terms, *symbols, domain=sympy.QQ_I)
-
     cancelled = 0
     for left, right in product_cases(rng, table):
         got = left * right
@@ -390,6 +400,104 @@ def test_canonical_form_on_every_route():
             assert (a.den, a.ints) == (b.den, b.ints)
         with pytest.raises(TypeError):
             hash(p)
+
+
+def constant_factor_cases(rng, table):
+    """Seeded (polynomial, constant) pairs: the constant a Gaussian rational,
+    an int or a Fraction, among them zero and the unit in each type."""
+    zeros_and_units = (0, 1, Fraction(0), Fraction(1), GaussianRational(0),
+                       GaussianRational(1))
+    for k in range(40):
+        p = wide_poly(rng, table) if k % 2 else random_poly(rng, table)
+        yield from ((p, c) for c in zeros_and_units)
+        yield p, gaussian(rng)
+        yield p, nonzero_gaussian(rng)
+        yield p, rng.choice((-1, 1)) * rng.randint(2, 10**13)
+        yield p, Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+    yield table.zero(), 3
+    yield table.zero(), table.zero()
+
+
+def test_constant_factor_products_match_the_schoolbook_and_sympy_routes(monkeypatch):
+    # a constant side only scales the other side's coefficients; an int or a
+    # Fraction factor builds no constant polynomial first
+    rng = random.Random(89)
+    table = small_table()
+    cases = list(constant_factor_cases(rng, table))
+    made = []
+    constant = VariableTable.constant
+
+    def counting_constant(self, value):
+        made.append(value)
+        return constant(self, value)
+
+    for p, c in cases:
+        as_poly = c if isinstance(c, PolyScalar) else table.constant(c)
+        want = schoolbook_product(p, as_poly)
+        assert to_sympy(p) * to_sympy(as_poly) == to_sympy(want)
+        monkeypatch.setattr(VariableTable, "constant", counting_constant)
+        routes = [p * c, c * p, p * as_poly, as_poly * p]
+        monkeypatch.setattr(VariableTable, "constant", constant)
+        for got in routes:
+            assert_canonical(got)
+            assert (got.den, got.ints) == (want.den, want.ints), (p, c)
+    # only a Gaussian factor is coerced, once per side
+    assert all(isinstance(value, GaussianRational) for value in made)
+    assert len(made) == 2 * sum(isinstance(c, GaussianRational) for _, c in cases)
+
+
+def test_coefficients_in_matches_the_schoolbook_split():
+    # one-part splits (the variable homogeneous) are returned as stripped;
+    # the parts of a mixed split are reduced
+    import sympy
+
+    rng = random.Random(97)
+    table = small_table()
+    symbols = sympy.symbols(table.names)
+    v = table.variable("V")
+    kinds = {"homogeneous": 0, "mixed": 0}
+    for k in range(60):
+        p = wide_poly(rng, table) if k % 2 else random_poly(rng, table)
+        free = p.substitute({"V": 1})
+        for poly in (free * v ** (k % 3), p, p + v ** 3 * Fraction(2, 3)):
+            for name in table.names:
+                split = poly.coefficients_in(name)
+                want = schoolbook_coefficients(poly, name)
+                assert split.keys() == want.keys()
+                if name == "V" and poly:
+                    kinds["homogeneous" if len(split) == 1 else "mixed"] += 1
+                for power, part in split.items():
+                    assert_canonical(part)
+                    assert (part.den, part.ints) == (want[power].den, want[power].ints)
+                    assert name not in part.variables_used()
+                symbol = symbols[table.index(name)]
+                assert sum((to_sympy(part) * symbol ** power
+                            for power, part in split.items()),
+                           to_sympy(table.zero())) == to_sympy(poly)
+    assert kinds["homogeneous"] > 40 and kinds["mixed"] > 40
+
+
+def test_reduced_matches_the_fraction_route():
+    # integer parts over a denominator, with and without (0, 0) entries,
+    # against the PolyScalar constructor on Gaussian rationals
+    rng = random.Random(101)
+    table = small_table()
+    with_zero = 0
+    for _ in range(300):
+        den = rng.choice((1, 2, 6, 12, 10**12, rng.randint(1, 99)))
+
+        def part():
+            return rng.choice((0, rng.randint(-60, 60) * rng.choice((1, 2, 3, den))))
+
+        ints = {tuple(rng.randint(0, 2) for _ in table.names): (part(), part())
+                for _ in range(rng.randint(0, 4))}
+        with_zero += (0, 0) in ints.values()
+        want = PolyScalar(table, {
+            e: GaussianRational(Fraction(a, den), Fraction(b, den))
+            for e, (a, b) in ints.items()})
+        got = assert_canonical(scalars._reduced(table, den, dict(ints)))
+        assert (got.den, got.ints) == (want.den, want.ints)
+    assert 30 < with_zero < 270
 
 
 def quotient_cases(rng, table):

@@ -13,6 +13,7 @@ from formbench.scenarios import Step, list_scenarios, run_scenario
 ALL_IDS = [
     "torus2-gram", "torus4-gram", "torus4-deformed", "bbf-vanishing",
     "kodaira", "kodaira-lambda", "nakamura", "k3-product", "grass-degree",
+    "iwasawa",
 ]
 
 
@@ -70,6 +71,8 @@ REPORT_SHA256 = {
         "c271c0b5df4a49e5621d044fac471eb9580e752f3c50850afb52a4516d888a7b",
     "grass-degree":
         "ab03464970afe8377491139e273d0f12f676f6c415ef224d2829b798f0decbbb",
+    "iwasawa":
+        "afae97764a1521afd3357cc8bf389d81867b34a7eec1c9bc8a6fa57d0330a84e",
 }
 
 
