@@ -458,10 +458,10 @@ def _differing(reference, candidate):
 
     for i, rows in enumerate(zip(reference.numerators, candidate.numerators)):
         for j, (a, b) in enumerate(zip(*rows)):
-            if a and b:
-                if (scaled(a, y) if scale_a else a) != (scaled(b, x) if scale_b else b):
+            if not (a.ints and b.ints):  # zero patterns, read off the term maps
+                if a.ints or b.ints:
                     yield i, j
-            elif a or b:
+            elif (scaled(a, y) if scale_a else a) != (scaled(b, x) if scale_b else b):
                 yield i, j
 
 
@@ -469,15 +469,15 @@ def normalize_gram(space, gram):
     """Impose the normalization V = 1/(mu*mub) on every entry.
 
     With P = mu*mub and k the largest V-degree of any numerator or of the
-    denominator, each of them, sum_j a_j V^j, becomes sum_j a_j P^(k-j),
-    once per distinct object; one of V-degree k only drops V (no product,
-    no second reduction) and zero numerators pass through.  No content is
+    denominator, the denominator and each distinct numerator object,
+    sum_j a_j V^j, become sum_j a_j P^(k-j) once; a part of V-degree k
+    costs no product and zero numerators pass through.  No content is
     removed, so an entry whose numerator has V-degree below k renders as an
     equal but unreduced fraction; the oracle on a basis with V-free
     coefficients is V-homogeneous and has no such entry."""
     name = space.model.coframe.volume_variable
     # one split per distinct nonzero numerator object; the gram holds them
-    distinct = {id(a): a for a in chain.from_iterable(gram.numerators) if a}
+    distinct = {id(a): a for a in chain.from_iterable(gram.numerators) if a.ints}
     splits = {key: a.coefficients_in(name) for key, a in distinct.items()}
     den = gram.denominator.coefficients_in(name)
     k = max(chain(den, *splits.values()))
@@ -486,8 +486,6 @@ def normalize_gram(space, gram):
         powers.append(powers[-1] * powers[1])
 
     def cleared(split):
-        if len(split) == 1 and k in split:  # V-homogeneous of degree k
-            return split[k]
         return reduce(add, (c * powers[k - j] if j < k else c
                             for j, c in split.items()))
 

@@ -260,9 +260,8 @@ class PolyScalar:
     maps exponent tuples to (re, im) integer pairs, none of them (0, 0), and
     ``den`` is a positive integer with gcd(den, every part) = 1.  The form
     is canonical, so equality compares (den, ints).  ``terms`` is the
-    {exponents: GaussianRational} view, built on each read and taken by the
-    constructor.  An int, Fraction or one-term constant factor scales the
-    numerators without adding exponents.
+    {exponents: GaussianRational} view, built on each read; the constructor
+    takes such a map.
     """
 
     __slots__ = ("table", "den", "ints")
@@ -320,16 +319,9 @@ class PolyScalar:
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # bool included
-            return _scaled(self, other.numerator, 0, other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # a one-term constant side only scales the other side's coefficients
-        if len(other.ints) == 1 and not any(e := next(iter(other.ints))):
-            return _scaled(self, *other.ints[e], other.den)
-        if len(self.ints) == 1 and not any(e := next(iter(self.ints))):
-            return _scaled(other, *self.ints[e], self.den)
         right = other.ints.items()
         sums = {}
         for e1, (a, b) in self.ints.items():
@@ -546,12 +538,6 @@ def _reduced(table, den, ints):
             return _poly(table, den, ints)
     return _poly(table, den // g,
                  {e: (re // g, im // g) for e, (re, im) in ints.items()})
-
-
-def _scaled(poly, c, d, den):
-    """poly * (c + id) / den in canonical form, for den > 0."""
-    return _reduced(poly.table, poly.den * den, {
-        e: (a * c - b * d, a * d + b * c) for e, (a, b) in poly.ints.items()})
 
 
 def _exact_quotient(p, q):
