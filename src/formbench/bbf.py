@@ -324,7 +324,7 @@ class GramMatrix:
 
     def is_symmetric(self):
         rows = self.numerators
-        return all(rows[i][j] == rows[j][i]
+        return all(rows[i][j] is rows[j][i] or rows[i][j] == rows[j][i]
                    for i, j in combinations(range(self.size), 2))
 
     def render(self):

@@ -175,8 +175,11 @@ class StructureModel:
     def _leibniz(self, form, step=None):
         """d of form, the graded Leibniz terms of each monomial summed into one
         term dict, a unit coefficient multiplying nothing; given a bidegree
-        step (dp, dq), only the terms in the source bidegree moved by step."""
+        step (dp, dq), only the terms in the source bidegree moved by step;
+        the zero form at once when no generator has a differential."""
         self._check_form(form)
+        if not self._form_table:
+            return self._zero
         cf = self.coframe
         one = cf.table.one()
         terms = {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .exterior import Coframe, Generator
-from .scalars import VariableTable, _poly, without_content
+from .scalars import PolyScalar, VariableTable, without_content
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class PlueckerCurve:
             {
                 sum(e)
                 for poly in self.coordinates.values()
-                for e in poly.ints
+                for e in poly.terms
             }
         )
 
@@ -47,8 +47,7 @@ class PlueckerCurve:
         poly = self.coordinates.get(self.distinguished)
         if poly is None or not poly:
             raise ValueError("the distinguished coordinate vanishes identically")
-        index = poly.table.index("a")
-        return min(e[index] for e in poly.ints)
+        return min(poly.coefficients_in("a"))
 
 
 def pluecker_curve(n):
@@ -91,14 +90,9 @@ def _remove_content(coordinates, table):
     polys = [p for p in coordinates.values() if p]
     if not polys:
         return coordinates
-    shift = tuple(min(exps[k] for poly in polys for exps in poly.ints)
-                  for k in range(len(table.names)))
-    # without_content leaves integer polynomials, and shifting every
-    # exponent keeps the canonical form
+    shift = [min(column) for column in zip(*(e for poly in polys for e in poly.terms))]
     return {
-        key: _poly(table, poly.den, {
-            tuple(e - s for e, s in zip(exps, shift)): parts
-            for exps, parts in poly.ints.items()
-        })
+        key: PolyScalar(table, {tuple(e - s for e, s in zip(exps, shift)): c
+                                for exps, c in poly.terms.items()})
         for key, poly in zip(coordinates, without_content(list(coordinates.values())))
     }

@@ -5,7 +5,11 @@ A polynomial is stored as Gaussian-integer numerators over one positive
 denominator, in lowest terms, so its ring operations run on Python ints and
 build no Fraction; a GaussianRational of two Fractions is made only where a
 single coefficient is read (``terms``, ``constant_value``, ``substitute``,
-rendering).  A ScalarFraction removes the common integer content of its
+rendering).  Each monomial is keyed by one packed int with a 32-bit field
+per variable, variable 0 the most significant, so a product adds keys and
+int order is the lex order of the exponent tuples; the top bit of each field
+is a guard, so an exponent must stay below 2**31 and OverflowError is raised
+otherwise.  A ScalarFraction removes the common integer content of its
 parts on construction.
 
 Everything here is immutable after construction and safe to share between
@@ -15,11 +19,15 @@ threads; all operations return fresh values.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd, lcm
-from operator import add, sub
+from operator import or_
 
 from .errors import ConjugationMismatch, UnknownVariable
+
+_FIELD = 32  # bits per variable in a packed monomial key, the top one a guard
+_MASK = (1 << _FIELD) - 1
 
 
 def binary_power(base, k, one):
@@ -182,7 +190,7 @@ class VariableTable:
     mentioning it raises UnknownVariable.
     """
 
-    __slots__ = ("names", "_index", "_conj", "_conj_index")
+    __slots__ = ("names", "_index", "_conj", "_conj_index", "_shifts", "_guard")
 
     def __init__(self, declarations=()):
         pairs = [(decl, None) if isinstance(decl, str) else decl
@@ -196,6 +204,8 @@ class VariableTable:
         self._conj_index = tuple(
             self._index[conj[n]] if n in conj else None for n in self.names
         )
+        self._shifts = tuple(range(_FIELD * (len(self.names) - 1), -1, -_FIELD))
+        self._guard = sum(1 << s + _FIELD - 1 for s in self._shifts)
 
     def __eq__(self, other):
         if not isinstance(other, VariableTable):
@@ -220,6 +230,27 @@ class VariableTable:
             raise UnknownVariable(name)
         return self._conj.get(name)
 
+    def _pack(self, exponents):
+        """The packed key of an exponent tuple."""
+        key = 0
+        for name, e in zip(self.names, exponents, strict=True):
+            if e < 0:
+                raise ValueError("exponents must be nonnegative")
+            if e >> _FIELD - 1:
+                raise OverflowError(f"an exponent of {name} reaches 2**{_FIELD - 1}")
+            key = key << _FIELD | e
+        return key
+
+    def _unpack(self, key):
+        """The exponent tuple of a packed key."""
+        return tuple(key >> s & _MASK for s in self._shifts)
+
+    def _overflow(self, key):
+        """The OverflowError of a key with a guard bit set, naming the
+        variable of its leading one."""
+        name = self.names[-1 - ((key & self._guard).bit_length() - 1) // _FIELD]
+        return OverflowError(f"an exponent of {name} reaches 2**{_FIELD - 1}")
+
     def zero(self):
         return _poly(self, 1, {})
 
@@ -227,11 +258,10 @@ class VariableTable:
         return self.constant(1)
 
     def constant(self, value):
-        exponents = (0,) * len(self.names)
         if isinstance(value, (int, Fraction)):  # bool included, as 0 or 1
-            ints = {exponents: (value.numerator, 0)} if value else {}
+            ints = {0: (value.numerator, 0)} if value else {}
             return _poly(self, value.denominator, ints)
-        return PolyScalar(self, {exponents: GaussianRational.of(value)})
+        return PolyScalar(self, {(0,) * len(self.names): GaussianRational.of(value)})
 
     def variable(self, name, power=1):
         return self.monomial({name: power})
@@ -240,8 +270,6 @@ class VariableTable:
         """The scalar monomial coefficient * prod(var**exp)."""
         exps = [0] * len(self.names)
         for name, e in exponents.items():
-            if e < 0:
-                raise ValueError("exponents must be nonnegative")
             exps[self.index(name)] += e
         return PolyScalar(self, {tuple(exps): GaussianRational.of(coefficient)})
 
@@ -257,31 +285,34 @@ class PolyScalar:
     """A multivariate polynomial over Q(i) in the variables of a table.
 
     Stored as Gaussian-integer numerators over one denominator: ``ints``
-    maps exponent tuples to (re, im) integer pairs, none of them (0, 0), and
-    ``den`` is a positive integer with gcd(den, every part) = 1.  The form
-    is canonical, so equality compares (den, ints).  ``terms`` is the
-    {exponents: GaussianRational} view, built on each read; the constructor
-    takes such a map.
+    maps packed monomial keys (the module docstring; 0 is the constant
+    monomial) to (re, im) integer pairs, none of them (0, 0), and ``den`` is
+    a positive integer with gcd(den, every part) = 1.  The form is
+    canonical, so equality compares (den, ints).  ``terms`` is the
+    {exponent tuple: GaussianRational} view, built on each read; the
+    constructor takes such a map.
     """
 
     __slots__ = ("table", "den", "ints")
 
     def __new__(cls, table, terms):
         ints, den = _integer_terms(terms)
-        return _poly(table, den, ints)
+        return _poly(table, den, {table._pack(e): p for e, p in ints.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyScalar is immutable")
 
     @property
     def terms(self):
-        den = self.den
-        return {e: GaussianRational(Fraction(re, den), Fraction(im, den))
+        den, unpack = self.den, self.table._unpack
+        return {unpack(e): GaussianRational(Fraction(re, den), Fraction(im, den))
                 for e, (re, im) in self.ints.items()}
 
     # -- ring structure ----------------------------------------------------
 
     def _coerce(self, other):
+        if type(other) is PolyScalar and other.table is self.table:
+            return other
         if isinstance(other, PolyScalar):
             if other.table is not self.table and other.table != self.table:
                 raise ValueError("scalars over different variable tables")
@@ -323,10 +354,13 @@ class PolyScalar:
         if other is None:
             return NotImplemented
         right = other.ints.items()
+        guard = self.table._guard
         sums = {}
         for e1, (a, b) in self.ints.items():
             for e2, (c, d) in right:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
+                if e & guard:
+                    raise self.table._overflow(e)
                 re, im = sums.get(e, (0, 0))
                 sums[e] = (re + a * c - b * d, im + a * d + b * c)
         return _reduced(self.table, self.den * other.den, sums)
@@ -350,7 +384,7 @@ class PolyScalar:
     # -- structure ---------------------------------------------------------
 
     def is_constant(self):
-        return all(not any(e) for e in self.ints)
+        return self.ints.keys() <= {0}
 
     def constant_value(self):
         """The value of a constant polynomial as a GaussianRational."""
@@ -362,20 +396,18 @@ class PolyScalar:
         return GaussianRational(Fraction(re, self.den), Fraction(im, self.den))
 
     def variables_used(self):
-        used = set()
-        for e in self.ints:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(self.table.names[i])
-        return used
+        used = reduce(or_, self.ints, 0)
+        return {name for name, s in zip(self.table.names, self.table._shifts)
+                if used >> s & _MASK}
 
     def coefficients_in(self, name):
         """Split into {power: coefficient polynomial} with respect to one
         variable."""
-        i = self.table.index(name)
+        s = self.table._shifts[self.table.index(name)]
         split = {}
         for e, c in self.ints.items():
-            split.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+            k = e >> s & _MASK
+            split.setdefault(k, {})[e - (k << s)] = c
         make = _poly if len(split) == 1 else _reduced  # one part stays canonical
         return {k: make(self.table, self.den, t) for k, t in split.items()}
 
@@ -384,20 +416,20 @@ class PolyScalar:
     def conjugate(self):
         """Antilinear involution: conjugate coefficients and swap each
         variable with its declared conjugate."""
-        perm = self.table._conj_index
+        table = self.table
         ints = {}
         for e, (a, b) in self.ints.items():
-            new = [0] * len(e)
-            for i, k in enumerate(e):
+            new = 0
+            for i, k in enumerate(table._unpack(e) if e else ()):
                 if not k:
                     continue
-                j = perm[i]
+                j = table._conj_index[i]
                 if j is None:
                     raise UnknownVariable(
-                        f"{self.table.names[i]} has no conjugation declaration"
+                        f"{table.names[i]} has no conjugation declaration"
                     )
-                new[j] = k
-            ints[tuple(new)] = (a, -b)
+                new |= k << table._shifts[j]
+            ints[new] = (a, -b)
         return _poly(self.table, self.den, ints)
 
     def substitute(self, assignment):
@@ -545,20 +577,23 @@ def _exact_quotient(p, q):
 
     Division by the lex-leading term of q, read on the integer form: the
     remainder's leading term is divided by q's (None when an exponent goes
-    negative) and that term times q is subtracted.  Each step cancels the
-    remainder's leading term, so the loop ends."""
+    negative, seen as a guard bit cleared by the key subtraction) and that
+    term times q is subtracted.  Each step cancels the remainder's leading
+    term, so the loop ends."""
+    guard = p.table._guard
     f = max(q.ints)
     a, b = q.ints[f]
     quotient, rest = p.table.zero(), p
     while rest:
-        e = max(rest.ints)
-        if any(i < j for i, j in zip(e, f)):
+        lead = max(rest.ints)
+        e = (lead | guard) - f
+        if e & guard != guard:
             return None
         # (x + iy)/rest.den over (a + ib)/q.den, as (x + iy)(a - ib) q.den
         # over rest.den |a + ib|^2
-        x, y = rest.ints[e]
+        x, y = rest.ints[lead]
         term = _reduced(p.table, rest.den * (a * a + b * b), {
-            tuple(map(sub, e, f)): ((x * a + y * b) * q.den, (y * a - x * b) * q.den)})
+            e ^ guard: ((x * a + y * b) * q.den, (y * a - x * b) * q.den)})
         quotient, rest = quotient + term, rest - term * q
     return quotient
 

@@ -5,7 +5,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from formbench.linalg import _primitive, rref
-from formbench.scalars import ONE, ZERO, GaussianRational, PolyScalar
+from formbench.scalars import ONE, ZERO, GaussianRational, PolyScalar, VariableTable
 
 
 def rational(rng, lo=-4, hi=4, max_den=4):
@@ -51,6 +51,29 @@ def wide_poly(rng, table, max_terms=4, max_exp=2):
     return PolyScalar(table, terms)
 
 
+def seeded_table(rng, size):
+    """A table of ``size`` variables in a seeded order, each declared
+    self-conjugate or paired with a seeded mate, so a pair need not sit in
+    neighbouring fields."""
+    names = [f"v{i}" for i in range(size)]
+    rng.shuffle(names)
+    rest = rng.sample(names, size)
+    pairs = []
+    while rest:
+        a = rest.pop()
+        pairs.append((a, rest.pop() if rest and rng.random() < 0.6 else a))
+    return VariableTable([*names, *pairs])
+
+
+def exponent_poly(rng, table, exponents, max_terms=3):
+    """A polynomial of up to max_terms terms whose exponents are drawn from
+    ``exponents`` variable by variable, with small Gaussian coefficients."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        terms[tuple(rng.choice(exponents) for _ in table.names)] = gaussian(rng)
+    return PolyScalar(table, terms)
+
+
 def schoolbook_product(left, right):
     """The product of two polynomials term pair by term pair in Q(i), an
     independent route for the integer kernel of PolyScalar.__mul__."""
@@ -84,6 +107,20 @@ def schoolbook_coefficients(poly, name):
     for e, c in poly.terms.items():
         split.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
     return {k: PolyScalar(poly.table, terms) for k, terms in split.items()}
+
+
+def schoolbook_conjugate(poly):
+    """The conjugate of a polynomial term by term on exponent tuples: each
+    exponent moved to the declared conjugate of its variable."""
+    table = poly.table
+    terms = {}
+    for e, c in poly.terms.items():
+        moved = [0] * len(e)
+        for name, k in zip(table.names, e):
+            if k:
+                moved[table.index(table.conjugate_of(name))] = k
+        terms[tuple(moved)] = c.conjugate()
+    return PolyScalar(table, terms)
 
 
 def schoolbook_substitute(poly, values):

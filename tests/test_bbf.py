@@ -293,6 +293,24 @@ def test_two_torus_bilinear_is_half_integral():
         assert normalized == direct
 
 
+def test_sigma_lies_on_the_period_domain():
+    # q(sigma) = 0 and, at V = 1/(mu*mub), q(sigma, sigma_bar) = 1/2: on
+    # Kodaira the value is the unreduced mu^2 mub^2 / (2 mu^2 mub^2)
+    cases = [(torus(2), {("x1", "x2"): 1}),
+             (torus(4), {("x1", "x2"): 1, ("x3", "x4"): 1}), (kodaira(), None)]
+    for model, terms in cases:
+        sigma = model.coframe.form(terms) if terms else kodaira_sigma(model)
+        space = make_symplectic(model, sigma)
+        table = model.table
+        assert q_sigma(space, sigma) == table.zero()
+        inv = ScalarFraction(table.one(), space.mu * space.mu.conjugate())
+        value = substitute_fraction(bilinear(space, sigma, sigma.conjugate()),
+                                    model.coframe.volume_variable, inv)
+        assert value == Fraction(1, 2)
+    mu, mub = table.variable("mu"), table.variable("mub")
+    assert value.numerator * 2 == value.denominator == (mu * mub) ** 2 * 2
+
+
 # -- Gram matrices -------------------------------------------------------------------
 
 
@@ -954,6 +972,24 @@ def _counting(monkeypatch, owner, names):
 
         monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def test_is_symmetric_compares_only_distinct_objects(monkeypatch):
+    # a shared object at (i, j) and (j, i) needs no comparison; distinct
+    # objects are still compared, equal or not
+    space, oracle = formal_pair_oracle_gram()
+    table = space.model.table
+    calls = _counting(monkeypatch, PolyScalar, ["__eq__"])
+    assert oracle.is_symmetric()
+    shared = sum(row[j] is oracle.numerators[j][i]
+                 for i, row in enumerate(oracle.numerators) for j in range(i))
+    assert calls == [oracle.size * (oracle.size - 1) // 2 - shared] and shared > 300
+    one, v = table.one(), table.variable("V")
+    for rows, symmetric in ((((one, v), (v, one)), True),
+                            (((one, v), (v * 1, one)), True),
+                            (((one, v), (v * 2, one)), False),
+                            (((one, v), (table.zero(), one)), False)):
+        assert GramMatrix((), rows, one).is_symmetric() is symmetric
 
 
 def test_gram_pipeline_removes_no_content(monkeypatch):

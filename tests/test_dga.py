@@ -137,6 +137,47 @@ def test_operator_model_mismatch():
         model.d(torus(2).coframe.generator_form("x1"))
 
 
+def test_operators_without_differentials_give_zero():
+    # torus(4) has no differential, so d, del_, delbar and deldelbar give the
+    # zero form on every seeded form; a form of another model still raises
+    rng = random.Random(139)
+    model, other = torus(4), torus(4)
+    operators = (model.d, model.del_, model.delbar, model.deldelbar)
+    v = model.table.variable("V")
+    for degree in range(9):
+        for _ in range(4):
+            form = random_form(rng, model, degree=degree, max_terms=4)
+            for f in (form, form.scaled(v + 1)):
+                for op in operators:
+                    image = op(f)
+                    assert not image and image.coframe is model.coframe
+    foreign = random_form(rng, other, degree=2)
+    for op in operators:
+        with pytest.raises(ModelMismatch):
+            op(foreign)
+
+
+def test_bott_chern_and_aeppli_are_conjugation_symmetric():
+    # on a model with a declared conjugation, h_BC^{p,q} = h_BC^{q,p} and
+    # h_A^{p,q} = h_A^{q,p}; Dolbeault has no such symmetry, as the Iwasawa
+    # manifold and the Kodaira surface show
+    models = [torus(2), torus(3), kodaira(), chain_nilmanifold(3),
+              chain_nilmanifold(4), *pool_models(20)]
+    checked = 0
+    for model in models:
+        n = model.coframe.n_holomorphic
+        for theory in (BOTT_CHERN, AEPPLI):
+            for p, q in combinations(range(n + 1), 2):
+                assert (model.cohomology(theory, (p, q)).dimension
+                        == model.cohomology(theory, (q, p)).dimension), (
+                    model, theory, p, q)
+                checked += 1
+    assert checked == 2 * (3 + 6 + 3 + 6 + 10 + 20 * 10)
+    for model, h10, h01 in ((chain_nilmanifold(3), 3, 2), (kodaira(), 1, 2)):
+        assert model.cohomology(DOLBEAULT, (1, 0)).dimension == h10
+        assert model.cohomology(DOLBEAULT, (0, 1)).dimension == h01
+
+
 def test_differential_identities_randomized():
     rng = random.Random(43)
     for model in all_models():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -16,18 +17,29 @@ from formbench.scalars import (
     substitute_fraction,
 )
 from support import (
+    exponent_poly,
     gaussian,
     nonzero_gaussian,
     random_poly,
     reference_content_removed,
     schoolbook_coefficients,
+    schoolbook_conjugate,
     schoolbook_product,
     schoolbook_substitute,
     schoolbook_sum,
+    seeded_table,
     wide_poly,
 )
 
 I = GaussianRational(0, 1)
+
+BOUND = 2 ** (scalars._FIELD - 1)  # every packed exponent stays below it
+HALF = BOUND // 2
+# factor exponents whose sums reach BOUND - 1 and no further
+LEFT_EXPONENTS = (0, 0, 1, 2, HALF - 1, HALF)
+RIGHT_EXPONENTS = (0, 0, 1, 3, HALF - 2, HALF - 1)
+# values whose powers stay small at any exponent
+UNITS = (GaussianRational(0), GaussianRational(1), GaussianRational(-1), I, -I)
 
 
 def small_table():
@@ -366,6 +378,63 @@ def test_product_matches_schoolbook_and_sympy_routes():
         }
         cancelled += len(pairs) - len(got.terms)
     assert cancelled > 0
+    # packed keys on seeded tables of 1, 3, 7 and 13 variables, exponents up
+    # to just below the field bound, against the tuple routes alone: sympy's
+    # dense polynomials cannot hold such exponents
+    reached, quotients = set(), Counter()
+    for size in (1, 3, 7, 13):
+        packed = seeded_table(rng, size)
+        for _ in range(40):
+            left = exponent_poly(rng, packed, LEFT_EXPONENTS)
+            right = exponent_poly(rng, packed, RIGHT_EXPONENTS)
+            quotients.update(assert_packed_routes(left, right, rng))
+            reached.update(k for e in (left * right).terms for k in e)
+    assert BOUND - 1 in reached
+    assert quotients["divides"] > 80 and quotients["does not divide"] > 40
+
+
+def assert_packed_routes(left, right, rng):
+    """Every PolyScalar operation of two polynomials over one table, on
+    packed keys, against the tuple routes of tests/support.py."""
+    from formbench.expressions import parse_scalar
+
+    table = left.table
+    names = table.names
+    got = left * right
+    assert assert_canonical(got).terms == schoolbook_product(left, right).terms
+    assert (left + right).terms == schoolbook_sum(left, right).terms
+    negated = PolyScalar(table, {e: -c for e, c in right.terms.items()})
+    assert (left - right).terms == schoolbook_sum(left, negated).terms
+    assert (left == right) is (left.terms == right.terms)
+    assert got == schoolbook_product(right, left)
+    assignment = {}
+    for name in rng.sample(names, min(2, len(names))):
+        mate = table.conjugate_of(name)
+        if mate not in assignment:
+            assignment[name] = rng.choice(UNITS[:3] if mate == name else UNITS)
+    values = dict(assignment)
+    values.update((table.conjugate_of(n), v.conjugate()) for n, v in assignment.items())
+    for p in (left, right, got):
+        assert p == PolyScalar(table, p.terms)
+        assert p.conjugate().terms == schoolbook_conjugate(p).terms
+        assert p.substitute(assignment).terms == schoolbook_substitute(p, values).terms
+        assert p.is_constant() is all(not any(e) for e in p.terms)
+        assert p.variables_used() == {
+            n for e in p.terms for n, k in zip(names, e) if k}
+        assert parse_scalar(str(p), table) == p
+        for name in names:
+            assert {k: c.terms for k, c in p.coefficients_in(name).items()} == {
+                k: c.terms for k, c in schoolbook_coefficients(p, name).items()}
+    cases = []
+    if right:
+        assert scalars._exact_quotient(got, right).terms == left.terms
+        cases.append("divides")
+    if len(right.terms) > 1:
+        # a divisor of two or more terms divides no single monomial
+        stray = exponent_poly(rng, table, (0, 1, 2), max_terms=1) or table.one()
+        assert scalars._exact_quotient(got + stray, right) is None
+        cases.append("does not divide")
+    return cases
 
 
 def assert_canonical(poly):
@@ -473,13 +542,14 @@ def test_reduced_matches_the_fraction_route():
         def part():
             return rng.choice((0, rng.randint(-60, 60) * rng.choice((1, 2, 3, den))))
 
-        ints = {tuple(rng.randint(0, 2) for _ in table.names): (part(), part())
-                for _ in range(rng.randint(0, 4))}
-        with_zero += (0, 0) in ints.values()
+        parts = {tuple(rng.randint(0, 2) for _ in table.names): (part(), part())
+                 for _ in range(rng.randint(0, 4))}
+        with_zero += (0, 0) in parts.values()
         want = PolyScalar(table, {
             e: GaussianRational(Fraction(a, den), Fraction(b, den))
-            for e, (a, b) in ints.items()})
-        got = assert_canonical(scalars._reduced(table, den, dict(ints)))
+            for e, (a, b) in parts.items()})
+        ints = {table._pack(e): p for e, p in parts.items()}
+        got = assert_canonical(scalars._reduced(table, den, ints))
         assert (got.den, got.ints) == (want.den, want.ints)
     assert 30 < with_zero < 270
 
@@ -531,6 +601,63 @@ def test_exact_quotient_recovers_the_cofactor():
                     _, remainder = sympy.div(to_sympy(p + stray), to_sympy(q))
                     assert not remainder.is_zero
         assert checked >= 20
+
+
+def test_packed_exponents_stop_below_the_guard_bit():
+    # t ** k and a product of monomials raise OverflowError, naming the
+    # variable, once an exponent would reach BOUND; up to BOUND - 1 they work
+    # and no exponent carries into a neighbouring field
+    rng = random.Random(131)
+    for size in (1, 3, 7, 13):
+        table = seeded_table(rng, size)
+        for name in table.names:
+            t = table.variable(name)
+            top = t ** (BOUND - 1)
+            assert top.terms == {tuple(BOUND - 1 if n == name else 0
+                                       for n in table.names): 1}
+            for k in (BOUND, BOUND + 1, 2 * BOUND - 1, 2 * BOUND, 2 ** 40):
+                with pytest.raises(OverflowError, match=f"of {name} "):
+                    t ** k
+            with pytest.raises(OverflowError, match=f"of {name} "):
+                table.variable(name, BOUND)
+            others = {n: rng.choice((0, 1, BOUND - 1)) for n in table.names if n != name}
+            left = table.monomial({**others, name: HALF}, 3)
+            assert (left * table.monomial({name: HALF - 1})).terms == {
+                tuple(BOUND - 1 if n == name else others[n] for n in table.names): 3}
+            for right in (table.monomial({name: HALF}), top):
+                with pytest.raises(OverflowError, match=f"of {name} "):
+                    left * right
+                with pytest.raises(OverflowError, match=f"of {name} "):
+                    right * (left + 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        table.monomial({table.names[0]: -1})
+
+
+def test_exact_quotient_reads_each_packed_field():
+    # divisibility is decided field by field: an exponent short by one in any
+    # variable refuses the division, whatever the fields around it hold
+    rng = random.Random(137)
+    for size in (1, 3, 7, 13):
+        table = seeded_table(rng, size)
+        names = table.names
+        for _ in range(30):
+            f = {n: rng.choice((0, 1, HALF, BOUND - 1)) for n in names}
+            r = {n: rng.randint(0, BOUND - 1 - f[n]) for n in names}
+            q = table.monomial(f, nonzero_gaussian(rng))
+            p = table.monomial({n: f[n] + r[n] for n in names}, 2 + I)
+            assert scalars._exact_quotient(p, q) == schoolbook_quotient(p, q)
+            short = rng.choice([n for n in names if f[n]] or [None])
+            if short is not None:
+                p = table.monomial({**f, short: f[short] - 1, **{
+                    n: BOUND - 1 for n in names if n != short and rng.random() < 0.5}})
+                assert scalars._exact_quotient(p, q) is None
+
+
+def schoolbook_quotient(p, q):
+    """p / q for monomials p and q, on exponent tuples."""
+    (e, c), = p.terms.items()
+    (f, d), = q.terms.items()
+    return PolyScalar(p.table, {tuple(a - b for a, b in zip(e, f)): c / d})
 
 
 def test_content_removal_matches_fraction_reference():
@@ -611,9 +738,11 @@ def test_constant_matches_the_gaussian_route():
         expected = PolyScalar(table, {constant_exponents: GaussianRational.of(value)})
         assert (got.den, got.ints) == (expected.den, expected.ints), value
         assert got == table.coerce(value) == expected
-    # bool counts as the int it equals, with plain int parts
-    assert table.constant(True).ints == {constant_exponents: (1, 0)}
-    assert all(type(part) is int for part in table.constant(True).ints[constant_exponents])
+    # bool counts as the int it equals, with plain int parts, at the packed
+    # key 0 of the constant monomial
+    assert table._pack(constant_exponents) == 0
+    assert table.constant(True).ints == {0: (1, 0)}
+    assert all(type(part) is int for part in table.constant(True).ints[0])
     assert table.constant(False) == table.zero()
     with pytest.raises(TypeError):
         table.constant(0.5)
