@@ -171,7 +171,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, UnknownVariable, OSError) as exc:
+    except (ValueError, UnknownVariable, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

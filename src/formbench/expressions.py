@@ -165,12 +165,22 @@ def _add(a, b, subtract=False):
     return a - b if subtract else a + b
 
 
-def parse_scalar(text, table):
-    """Parse a polynomial scalar expression over the given variable table."""
-    parser = _Parser(text, table)
-    value = parser.parse()
+def _parse_whole(text, table, coframe=None):
+    """The value of the whole text; an exponent past the scalar bound is a
+    ParseError."""
+    parser = _Parser(text, table, coframe)
+    try:
+        value = parser.parse()
+    except OverflowError as exc:
+        raise ParseError(str(exc)) from exc
     if parser.peek()[0] != "end":
         raise ParseError(f"trailing input in {text!r}")
+    return value
+
+
+def parse_scalar(text, table):
+    """Parse a polynomial scalar expression over the given variable table."""
+    value = _parse_whole(text, table)
     if isinstance(value, Form):
         raise ParseError("expected a scalar, found a form")
     return value
@@ -178,10 +188,7 @@ def parse_scalar(text, table):
 
 def parse_form(text, coframe):
     """Parse a form expression such as ``"x1^x2 + (1+2i)*x3^x4"``."""
-    parser = _Parser(text, coframe.table, coframe)
-    value = parser.parse()
-    if parser.peek()[0] != "end":
-        raise ParseError(f"trailing input in {text!r}")
+    value = _parse_whole(text, coframe.table, coframe)
     if not isinstance(value, Form):
         value = coframe.unit(value)
     return value

@@ -223,7 +223,10 @@ def model_from_dict(document):
                     )
             total = total + coframe.monomial_form(monomial, coefficient)
         differentials[target] = total
-    return StructureModel(coframe, differentials)
+    try:
+        return StructureModel(coframe, differentials)
+    except OverflowError as exc:  # d(d g) raised an exponent past the bound
+        raise ParseError(str(exc), field="differentials") from exc
 
 
 def _list(value, field, name=None):

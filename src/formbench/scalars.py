@@ -296,8 +296,9 @@ class PolyScalar:
     __slots__ = ("table", "den", "ints")
 
     def __new__(cls, table, terms):
-        ints, den = _integer_terms(terms)
-        return _poly(table, den, {table._pack(e): p for e, p in ints.items()})
+        # every key is packed, so a zero coefficient still has its exponents checked
+        ints, den = _integer_terms({table._pack(e): c for e, c in terms.items()})
+        return _poly(table, den, ints)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyScalar is immutable")
@@ -311,8 +312,6 @@ class PolyScalar:
     # -- ring structure ----------------------------------------------------
 
     def _coerce(self, other):
-        if type(other) is PolyScalar and other.table is self.table:
-            return other
         if isinstance(other, PolyScalar):
             if other.table is not self.table and other.table != self.table:
                 raise ValueError("scalars over different variable tables")

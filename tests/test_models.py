@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from formbench.cli import main
 from formbench.errors import IntegrabilityError, ParseError
 from formbench.expressions import parse_form, parse_scalar
 from formbench.models import (
@@ -175,6 +176,53 @@ def test_load_model_structure_error():
     }
     with pytest.raises(IntegrabilityError):
         model_from_dict(document)
+
+
+def _one_variable_model(first, second="1"):
+    # d g1 = first * g2^g4 and d g2 = second * g3^g5, so d(d g1) multiplies
+    # the two coefficients
+    return {
+        "variables": [{"name": "t"}],
+        "generators": [{"name": f"g{k}", "bidegree": [1, 0] if k < 4 else [0, 1]}
+                       for k in range(1, 7)],
+        "differentials": [
+            {"generator": "g1",
+             "terms": [{"coefficient": first, "monomial": ["g2", "g4"]}]},
+            {"generator": "g2",
+             "terms": [{"coefficient": second, "monomial": ["g3", "g5"]}]},
+        ],
+    }
+
+
+@pytest.mark.parametrize("first, second", [
+    ("t^2147483648", "1"),  # an exponent at the bound as written
+    ("t^2147483647*t", "1"),  # a product of parsed factors past it
+    ("(t^1073741824)^2", "1"),  # a power of a parsed factor past it
+    ("t^2147483647", "t"),  # d(d g1) multiplies the coefficients past it
+])
+def test_exponents_past_the_bound_are_parse_errors(tmp_path, capsys, first, second):
+    # an exponent of 2**31 or more is malformed input: load_model raises
+    # ParseError and the command line reports it and exits with status 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_one_variable_model(first, second)))
+    with pytest.raises(ParseError, match=r"an exponent of t reaches 2\*\*31"):
+        load_model(path)
+    capsys.readouterr()
+    assert main(["model", "check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("sigma", [
+    "t^2147483648*x1^x2 + x3^x4",  # parsing the expression overflows
+    "t^1073741824*(x1^x2 + x3^x4)",  # sigma^2 overflows after parsing
+])
+def test_sigma_exponents_past_the_bound_exit_cleanly(tmp_path, capsys, sigma):
+    document = model_to_dict(torus(4))
+    document["variables"].append({"name": "t", "conjugate": "tb"})
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(document))
+    assert main(["bbf", "gram", str(path), "--sigma", sigma]) == 1
+    assert capsys.readouterr().err.startswith("error: an exponent of t reaches")
 
 
 def test_volume_order_carries_sign():

@@ -629,8 +629,16 @@ def test_packed_exponents_stop_below_the_guard_bit():
                     left * right
                 with pytest.raises(OverflowError, match=f"of {name} "):
                     right * (left + 1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        table.monomial({table.names[0]: -1})
+    # the exponents are checked whatever the coefficient, zero included
+    name = table.names[0]
+    for coefficient in (1, 0):
+        with pytest.raises(ValueError, match="nonnegative"):
+            table.monomial({name: -1}, coefficient)
+        with pytest.raises(OverflowError, match=f"of {name} "):
+            table.monomial({name: BOUND}, coefficient)
+        with pytest.raises(OverflowError, match=f"of {name} "):
+            PolyScalar(table, {(BOUND,) + (0,) * (len(table.names) - 1):
+                               GaussianRational(coefficient)})
 
 
 def test_exact_quotient_reads_each_packed_field():
