@@ -213,18 +213,17 @@ class StructureModel:
     # -- validation -----------------------------------------------------------
 
     def validate(self):
-        """Check d*d = 0 and the bidegree splitting on every generator, and
-        d(conj g) = conj(d g) on every declared conjugate pair.
-
-        Returns a diagnostics list on success; raises IntegrabilityError,
-        carrying the offending generators and their residual forms, otherwise.
-        """
-        self._check_integrable()
+        """The diagnostics list d(g) = ... of every generator.  It checks
+        nothing: the constructor already ran ``_check_integrable`` and a
+        model is immutable, so every model that exists has passed."""
         return [f"d({gen.name}) = {self.differential_of(gen.name)}"
                 for gen in self.coframe.generators]
 
     def _check_integrable(self):
-        """The checks of ``validate``, building no text unless they fail."""
+        """Check d*d = 0 and the bidegree splitting on every generator, and
+        d(conj g) = conj(d g) on every declared conjugate pair; raises
+        IntegrabilityError, carrying the offending generators and their
+        residual forms, and builds no text unless a check fails."""
         cf = self.coframe
         violations = []
         for pos, gen in enumerate(cf.generators):

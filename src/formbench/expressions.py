@@ -166,13 +166,15 @@ def _add(a, b, subtract=False):
 
 
 def _parse_whole(text, table, coframe=None):
-    """The value of the whole text; an exponent past the scalar bound is a
-    ParseError."""
+    """The value of the whole text; an exponent past the scalar bound, or
+    nesting past the recursion limit, is a ParseError."""
     parser = _Parser(text, table, coframe)
     try:
         value = parser.parse()
     except OverflowError as exc:
         raise ParseError(str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError("expression nested too deeply") from exc
     if parser.peek()[0] != "end":
         raise ParseError(f"trailing input in {text!r}")
     return value

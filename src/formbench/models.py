@@ -17,38 +17,30 @@ from .expressions import parse_scalar
 from .scalars import GaussianRational, VariableTable
 
 
+def _paired_coframe(prefix, n, table):
+    """Generators {prefix}1..{prefix}n of type (1,0) and their conjugates
+    {prefix}b1..{prefix}bn of type (0,1), paired, with the volume of all of
+    them in that order."""
+    if n < 1:
+        raise ValueError("dimension must be positive")
+    holo = [Generator(f"{prefix}{i}", (1, 0)) for i in range(1, n + 1)]
+    anti = [Generator(f"{prefix}b{i}", (0, 1)) for i in range(1, n + 1)]
+    return Coframe(holo + anti, table,
+                   conjugates={g.name: b.name for g, b in zip(holo, anti)},
+                   volume=[g.name for g in holo + anti])
+
+
 def torus(dim, parameters=()):
     """The invariant-form model of a complex torus of dimension ``dim``:
     generators x1..x{dim} and their conjugates, zero differential."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
     table = VariableTable([("V", "V"), *parameters])
-    holo = [Generator(f"x{i}", (1, 0)) for i in range(1, dim + 1)]
-    anti = [Generator(f"xb{i}", (0, 1)) for i in range(1, dim + 1)]
-    coframe = Coframe(
-        holo + anti,
-        table,
-        conjugates={f"x{i}": f"xb{i}" for i in range(1, dim + 1)},
-        volume=[g.name for g in holo + anti],
-    )
-    return StructureModel(coframe, {})
+    return StructureModel(_paired_coframe("x", dim, table), {})
 
 
 def kodaira():
     """The standard Kodaira surface model: dw2 = w1^wb1 and its conjugate
     equation; carries the formal symplectic scale mu."""
-    table = VariableTable([("V", "V"), ("mu", "mub")])
-    coframe = Coframe(
-        [
-            Generator("w1", (1, 0)),
-            Generator("w2", (1, 0)),
-            Generator("wb1", (0, 1)),
-            Generator("wb2", (0, 1)),
-        ],
-        table,
-        conjugates={"w1": "wb1", "w2": "wb2"},
-        volume=["w1", "w2", "wb1", "wb2"],
-    )
+    coframe = _paired_coframe("w", 2, VariableTable([("V", "V"), ("mu", "mub")]))
     differentials = {
         "w2": coframe.form({("w1", "wb1"): 1}),
         "wb2": coframe.form({("w1", "wb1"): -1}),
@@ -67,11 +59,7 @@ def chain_nilmanifold(n):
     """The nilpotent model d phi_k = -phi_1 ^ phi_(k-1) for k >= 3 on
     phi_1..phi_n and the conjugate equations on phib_1..phib_n; n = 3 is
     the Iwasawa manifold, d phi3 = -phi1 ^ phi2."""
-    holo = [Generator(f"phi{i}", (1, 0)) for i in range(1, n + 1)]
-    anti = [Generator(f"phib{i}", (0, 1)) for i in range(1, n + 1)]
-    cf = Coframe(holo + anti, VariableTable([("V", "V")]),
-                 conjugates={f"phi{i}": f"phib{i}" for i in range(1, n + 1)},
-                 volume=[g.name for g in holo + anti])
+    cf = _paired_coframe("phi", n, VariableTable([("V", "V")]))
     differentials = {}
     for k in range(3, n + 1):
         dphi = cf.monomial_form(("phi1", f"phi{k - 1}"), -1)
@@ -239,12 +227,15 @@ def _list(value, field, name=None):
 
 def load_model(path):
     """Load and validate a model file; raises ParseError on malformed input
-    and IntegrabilityError on bad structure equations."""
+    (also on bytes that are not UTF-8 and on JSON nested past the recursion
+    limit) and IntegrabilityError on bad structure equations."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or too deep
+        raise ParseError(f"unreadable model file: {exc}") from exc
     return model_from_dict(document)
 
 

@@ -602,8 +602,9 @@ class ScalarFraction:
     unless a numerator is zero or the denominators are equal; Gram matrices
     are compared on their numerators instead (bbf.gram_discrepancies).
 
-    Only integer content is removed on construction, and a zero reads
-    0 / 1; no polynomial gcd is attempted.
+    It supports equality, truth, negation, scaling (``*``) and rendering
+    only.  Only integer content is removed on construction, and a zero
+    reads 0 / 1; no polynomial gcd is attempted.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -656,28 +657,8 @@ class ScalarFraction:
 
     __hash__ = None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return ScalarFraction(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    __radd__ = __add__
-
     def __neg__(self):
         return ScalarFraction(-self.numerator, self.denominator)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -688,16 +669,6 @@ class ScalarFraction:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by zero fraction")
-        return ScalarFraction(
-            self.numerator * other.denominator, self.denominator * other.numerator
-        )
 
     def __str__(self):
         if self.denominator == self.table.one():

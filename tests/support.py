@@ -5,7 +5,14 @@ from itertools import combinations
 from math import gcd, lcm
 
 from formbench.linalg import _primitive, rref
-from formbench.scalars import ONE, ZERO, GaussianRational, PolyScalar, VariableTable
+from formbench.scalars import (
+    ONE,
+    ZERO,
+    GaussianRational,
+    PolyScalar,
+    ScalarFraction,
+    VariableTable,
+)
 
 
 def rational(rng, lo=-4, hi=4, max_den=4):
@@ -164,6 +171,11 @@ def reference_content_removed(numerator, denominator):
     inv = GaussianRational(1 / common)
     return tuple(PolyScalar(p.table, {e: c * inv for e, c in p.terms.items()})
                  for p in (numerator, denominator))
+
+
+def fraction_quotient(a, b):
+    """a / b for two ScalarFractions, by cross-multiplication."""
+    return ScalarFraction(a.numerator * b.denominator, a.denominator * b.numerator)
 
 
 def random_form(rng, model, degree=None, bidegree=None, max_terms=2):

@@ -52,6 +52,7 @@ from support import (
     antisymmetric_rows,
     determinant,
     determinant_ring,
+    fraction_quotient,
     gaussian,
     nonzero_gaussian,
     positions_of,
@@ -463,9 +464,9 @@ def test_normalize_gram_matches_substitute_and_divide(make_gram):
     assert "V" not in normalized.denominator.variables_used()
     for row, normalized_row in zip(gram.entries, normalized.entries):
         for entry, value in zip(row, normalized_row):
-            assert value == (
-                substitute_fraction(entry.numerator, "V", inv)
-                / substitute_fraction(entry.denominator, "V", inv)
+            assert value == fraction_quotient(
+                substitute_fraction(entry.numerator, "V", inv),
+                substitute_fraction(entry.denominator, "V", inv),
             )
             if not entry:
                 assert str(value) == "0"

@@ -576,7 +576,9 @@ def _slots_and_spaces(model, theory):
 def test_class_of_and_lambda_map_every_theory(theory):
     rng = random.Random(59)
     non_cocycles = 0
-    for model in (kodaira(), nakamura(Fraction(1, 2)).model):
+    models = (kodaira(), nakamura(Fraction(1, 2)).model, chain_nilmanifold(3),
+              *pool_models(3))
+    for model in models:
         cf = model.coframe
         one = cf.table.one()
         for slot, space in _slots_and_spaces(model, theory):

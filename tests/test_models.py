@@ -8,6 +8,7 @@ from formbench.cli import main
 from formbench.errors import IntegrabilityError, ParseError
 from formbench.expressions import parse_form, parse_scalar
 from formbench.models import (
+    chain_nilmanifold,
     kodaira,
     kodaira_sigma,
     load_model,
@@ -33,6 +34,13 @@ def test_torus_builder():
     assert torus(3).coframe.n_holomorphic == 3
     with pytest.raises(ValueError):
         torus(0)
+
+
+@pytest.mark.parametrize("build", [lambda: torus(0), lambda: chain_nilmanifold(0),
+                                   lambda: chain_nilmanifold(-2)])
+def test_paired_builders_reject_empty_coframes(build):
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        build()
 
 
 def test_kodaira_builder():
@@ -223,6 +231,42 @@ def test_sigma_exponents_past_the_bound_exit_cleanly(tmp_path, capsys, sigma):
     path.write_text(json.dumps(document))
     assert main(["bbf", "gram", str(path), "--sigma", sigma]) == 1
     assert capsys.readouterr().err.startswith("error: an exponent of t reaches")
+
+
+DEEP = "(" * 3000 + "1" + ")" * 3000  # past the recursion limit
+
+
+def _deep_coefficient_model():
+    document = model_to_dict(kodaira())
+    document["differentials"][0]["terms"][0]["coefficient"] = DEEP
+    return document
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: path.write_text(json.dumps(_deep_coefficient_model())),
+    lambda path: path.write_text("[" * 200_000 + "]" * 200_000),
+    lambda path: path.write_bytes(b"\xff\xfe{}"),  # not UTF-8
+], ids=["nested_coefficient", "nested_array", "not_utf8"])
+def test_unreadable_model_files_are_parse_errors(tmp_path, capsys, write):
+    path = tmp_path / "model.json"
+    write(path)
+    with pytest.raises(ParseError):
+        load_model(path)
+    capsys.readouterr()
+    assert main(["model", "check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deeply_nested_sigma_is_a_parse_error(tmp_path, capsys):
+    model = kodaira()
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_form(DEEP + "*w1^w2", model.coframe)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_scalar(DEEP, model.table)
+    path = tmp_path / "kodaira.json"
+    save_model(model, path)
+    assert main(["bbf", "gram", str(path), "--sigma", DEEP + "*w1^w2"]) == 1
+    assert capsys.readouterr().err.startswith("error: expression nested too deeply")
 
 
 def test_volume_order_carries_sign():
