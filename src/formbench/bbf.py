@@ -253,8 +253,8 @@ def _pairing_table(space, forms):
     is dual[k], and the one-sided integrals holo = (1-n)/2 I[form s^(n-1)
     sb^n] and anti = I[form s^n sb^(n-1)].  Entry (i, j) sums coeff dual_i[k]
     over the terms (k, coeff) of form j, found through a monomial index,
-    plus holo_i anti_j + holo_j anti_i; each product of a nonzero holo and
-    a nonzero anti is made once and added to both of its entries."""
+    plus holo_i anti_j + holo_j anti_i; each nonzero holo x anti product is
+    made once and added to both entries: one sum where they are one object."""
     one = space.model.table.one()
     dual_rows, end_rows = _pairing_kernel(space)
     index = {}
@@ -278,7 +278,11 @@ def _pairing_table(space, forms):
     for i, x in holo:
         for j, y in anti:
             product = x * y
-            for row, col in ((rows[i], j), (rows[j], i)):
+            old = rows[i].get(j)
+            if i != j and rows[j].get(i) is old:  # one object at both: one sum
+                rows[i][j] = rows[j][i] = product if old is None else old + product
+                continue
+            for row, col in ((rows[i], j), (rows[j], i)):  # the diagonal gets two
                 old = row.get(col)
                 row[col] = product if old is None else old + product
     return rows

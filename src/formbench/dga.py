@@ -52,12 +52,13 @@ class CohomologyReport:
     """Dimension and representative basis of one cohomology group.
 
     ``slot`` is a degree k for de Rham and a bidegree pair (p, q) otherwise.
-    The dimension comes from ranks.  The first read of ``rows`` keys the
-    boundaries of ``_inputs`` (monomial masks, then mask-keyed cocycle images
-    and boundaries) by slot index, runs ``linalg.quotient_representatives``,
-    drops the inputs, gives each ``(s, row)`` as a tuple ``(s, monomial, re,
-    im, ...)`` and raises RuntimeError if their count is not the dimension;
-    ``basis`` divides each by s into a form.  Both memoize.
+    The dimension comes from ranks.  ``_inputs`` holds monomial masks, then
+    mask-keyed cocycle images and boundaries, the memoized row lists (Aeppli
+    joins two).  The first read of ``rows`` keys the boundaries by slot index,
+    runs ``linalg.quotient_representatives``, drops the inputs, gives each
+    ``(s, row)`` as a tuple ``(s, monomial, re, im, ...)`` and raises
+    RuntimeError if their count is not the dimension; ``basis`` divides each
+    by s into a form.  Both memoize.
     """
 
     theory: str
@@ -331,6 +332,10 @@ class StructureModel:
                 holo, p = (1 << self.coframe.n_holomorphic) - 1, slot[0]
                 parts = [], []
                 for row in self._rows(slot, 1):
+                    if not row:  # nothing to split
+                        parts[0].append(row)
+                        parts[1].append(row)
+                        continue
                     up, down = {}, {}
                     for m, v in row.items():
                         (up if (m & holo).bit_count() > p else down)[m] = v
@@ -363,13 +368,15 @@ class StructureModel:
         step = 1 if len(cocycle) > 1 else cocycle[0]
         images = self._rows(slot, step)
         sources = [_shift(slot, s, -1) for s in boundary]
-        boundaries = [row for k in zip(sources, boundary) for row in self._rows(*k)]
+        boundaries = self._rows(sources[0], boundary[0])  # the memoized rows, not a copy
+        if len(boundary) > 1:  # Aeppli joins its del and delbar images
+            boundaries = boundaries + self._rows(sources[1], boundary[1])
         space = self._space(slot)
-        keys = (slot, step), (*sources, *boundary)
-        for k, rows in zip(keys, (images, boundaries)):
-            if k not in self._ranks:  # a memoized rank serves every slot sharing it
-                self._ranks[k] = linalg.rank(rows)
-        dimension = len(space) - self._ranks[keys[0]] - self._ranks[keys[1]]
+        dimension = len(space)
+        for k, rows in (((slot, step), images), ((*sources, *boundary), boundaries)):
+            if (rank := self._ranks.get(k)) is None:  # shared by the slots with key k
+                rank = self._ranks[k] = linalg.rank(rows)
+            dimension -= rank
         return self._reports.setdefault(key, CohomologyReport(
             theory, slot, dimension, self.coframe, (space, images, boundaries)))
 
@@ -505,7 +512,7 @@ def _normalize_slot(theory, slot):
                 f"de Rham cohomology takes an integer degree k, got {slot!r}")
         return theory, slot
     if not (isinstance(slot, (tuple, list)) and len(slot) == 2
-            and all(map(_is_int, slot))):
+            and _is_int(slot[0]) and _is_int(slot[1])):
         raise ValueError(f"{theory} cohomology takes a bidegree pair (p, q) "
                          f"of integers, got {slot!r}")
     return theory, tuple(slot)

@@ -9,9 +9,10 @@ Gaussian-integer rows ``{column: (re, im)}`` holding only the nonzero entries;
 (s, row)}, each row pivoting on its least key.  A vector is reduced in key
 order: a heap holds the keys of the vector that are pivots, and each
 subtracted row can only bring in larger keys, so an insert costs the rows it
-meets, not the size of the echelon, and one that meets none is not copied.  A
-pivot is cleared by cross-multiplication and each echelon row is kept
-primitive with a positive-integer pivot, so no fraction is formed.  A returned
+meets, not the size of the echelon, and one that meets none is not copied
+(in ``rank`` a single entry that meets none is its unit row at once).  A pivot
+is cleared by cross-multiplication and each echelon row is kept primitive
+with a positive-integer pivot, so no fraction is formed.  A returned
 row is a positive integer multiple of the vector the reduced row echelon form
 over Q(i) gives, which changes no kernel and no span; the caller divides once.
 There is no numerical tolerance anywhere in the package.
@@ -133,7 +134,10 @@ def rank(vectors):
     """The dimension of the span of Gaussian-integer rows: their echelon size."""
     echelon = {}
     for v in filter(None, vectors):
-        _insert(v, echelon)
+        if len(v) == 1 and (c := next(iter(v))) not in echelon:
+            echelon[c] = (1, {c: (1, 0)})  # the unit row _primitive would make
+        else:
+            _insert(v, echelon)
     return len(echelon)
 
 

@@ -1023,12 +1023,13 @@ def test_normalize_gram_clears_a_shared_denominator_once(monkeypatch):
 
 def test_normalize_gram_splits_each_distinct_numerator_once(monkeypatch):
     # the oracle stores one object at (i, j) and (j, i) wherever a single
-    # pairing term reaches both; normalize_gram splits and clears it once,
-    # and the normalized matrix shares an object exactly where the oracle does
+    # pairing term reaches both, and keeps it one when a holo x anti product
+    # is added to both; normalize_gram splits and clears it once, and the
+    # normalized matrix shares an object exactly where the oracle does
     space, oracle = formal_pair_oracle_gram()
     nonzero = [a for row in oracle.numerators for a in row if a]
     distinct = {id(a) for a in nonzero}
-    assert (len(nonzero), len(distinct)) == (216, 144)
+    assert (len(nonzero), len(distinct)) == (216, 108)
     splits = _counting(monkeypatch, PolyScalar, ["coefficients_in"])
     normalized = normalize_gram(space, oracle)
     assert splits == [len(distinct) + 1]  # and the denominator

@@ -225,11 +225,35 @@ def disjoint_matrix(rng, rows, cols):
             for row, factor in zip(matrix, rng.choices(factors, k=rows))]
 
 
+def unit_matrix(rng, rows, cols):
+    """Mostly single-entry rows: one key repeated with different Gaussian
+    values, single entries on the pivot (least column) of an earlier
+    multi-entry row, single entries anywhere, and multi-entry rows that meet
+    the unit rows before them."""
+    key = rng.randrange(cols)
+    matrix, multi = [], []
+    for _ in range(rows):
+        row = [ZERO] * cols
+        roll = rng.random()
+        if roll < 0.3:
+            row[key] = nonzero_gaussian(rng)
+        elif roll < 0.45 and multi:
+            row[min(c for c, x in enumerate(rng.choice(multi)) if x)] = nonzero_gaussian(rng)
+        elif roll < 0.75 or cols < 2:
+            row[rng.randrange(cols)] = nonzero_gaussian(rng)
+        else:
+            for c in rng.sample(range(cols), rng.randint(2, min(4, cols))):
+                row[c] = nonzero_gaussian(rng)
+            multi.append(row)
+        matrix.append(row)
+    return matrix
+
+
 def test_rank_matches_the_dense_reference(monkeypatch):
     # seeded Gaussian-integer rows with zero rows, rows repeated up to a
-    # factor, combinations of earlier rows and rows that meet no pivot,
-    # against the dense rref; the rows are read-only views, as the memoized
-    # operator images are never to be written
+    # factor, combinations of earlier rows, rows that meet no pivot and
+    # mostly single-entry rows, against the dense rref; the rows are
+    # read-only views, as the memoized operator images are never to be written
     rng = random.Random(37)
     cases = [[], [[]], [[ZERO] * 3, [ZERO] * 3]]
     for _ in range(120):
@@ -239,24 +263,32 @@ def test_rank_matches_the_dense_reference(monkeypatch):
         cases.append(hard_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)))
     for n in (1, 5, 9):
         cases.append(full_rank_matrix(rng, n, 0.3))
+    for _ in range(40):
+        cases.append(unit_matrix(rng, rng.randint(1, 12), rng.randint(1, 8)))
     disjoint = [disjoint_matrix(rng, rng.randint(1, 6), rng.randint(1, 12))
                 for _ in range(30)]
-    eliminations = []
-    eliminate = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate",
-                        lambda *args: eliminations.append(1) or eliminate(*args))
-    deficient = 0
+    calls = {"_eliminate": [], "_primitive": []}
+    for name, log in calls.items():
+        monkeypatch.setattr(linalg, name, lambda *args, log=log, f=getattr(linalg, name):
+                            log.append(1) or f(*args))
+    deficient = units = 0
     for k, matrix in enumerate(cases + disjoint):
         rows = [MappingProxyType(integer_row(row)) for row in matrix]
         copies = [dict(row) for row in rows]
         expected = rank(matrix)
-        del eliminations[:]
+        for log in calls.values():
+            del log[:]
         assert linalg.rank(rows) == expected, matrix
         assert rows == copies
         deficient += expected < len(matrix)
-        if k >= len(cases):  # rows that meet no pivot go in with no elimination
-            assert not eliminations and expected == sum(map(any, matrix))
-    assert deficient > 50
+        if all(len(row) < 2 for row in rows):  # unit rows make no primitive row
+            assert not calls["_primitive"], matrix
+            units += len(matrix) > expected
+        if k >= len(cases):  # rows that meet no pivot go in with no elimination,
+            # and only those with two or more entries are made primitive
+            assert not calls["_eliminate"] and expected == sum(map(any, matrix))
+            assert len(calls["_primitive"]) == sum(len(row) > 1 for row in rows)
+    assert deficient > 50 and units > 5
 
 
 def wide_gaussian(rng):
