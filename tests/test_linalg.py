@@ -238,7 +238,8 @@ def unit_matrix(rng, rows, cols):
         if roll < 0.3:
             row[key] = nonzero_gaussian(rng)
         elif roll < 0.45 and multi:
-            row[min(c for c, x in enumerate(rng.choice(multi)) if x)] = nonzero_gaussian(rng)
+            pivot = min(c for c, x in enumerate(rng.choice(multi)) if x)
+            row[pivot] = nonzero_gaussian(rng)
         elif roll < 0.75 or cols < 2:
             row[rng.randrange(cols)] = nonzero_gaussian(rng)
         else:
